@@ -238,7 +238,8 @@ def weight_enumerator(
     out = {0: 1}
     for w, c in total.items():
         out[w] = out.get(w, 0) + c * (q - 1)
-    assert sum(out.values()) == q**k
+    if sum(out.values()) != q**k:
+        raise RuntimeError(f"weight enumerator counts {sum(out.values())} words, expected {q**k}")
     return dict(sorted(out.items()))
 
 

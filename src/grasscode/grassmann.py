@@ -3,10 +3,11 @@
 Subspaces are enumerated through their canonical reduced-row-echelon
 bases: pivot column sets in lexicographic order, free entries cycling in
 odometer order.  Plücker coordinates are maximal minors in the global
-lexicographic index order, normalized so the first nonzero coordinate is
-1.  For a canonical basis the first nonzero coordinate sits at the pivot
-tuple and already equals 1, so the enumeration order is also the
-canonical point order.
+lexicographic index order, all computed in one Laplace pass per batch of
+bases (``linalg.maximal_minors``) and normalized so the first nonzero
+coordinate is 1.  For a canonical basis the first nonzero coordinate sits
+at the pivot tuple and already equals 1, so the enumeration order is also
+the canonical point order.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import BudgetExceededError
 from .field import GF
 from .indices import enumerate_index_tuples, gaussian_binomial, index_positions
-from .linalg import Mat, build_rref_batch, det_batched, digit_block, rref_free_positions, zeros
+from .linalg import Mat, build_rref_batch, digit_block, maximal_minors, rref_free_positions, zeros
 
 from itertools import combinations
 
@@ -69,28 +70,12 @@ def normalize_point(field: GF, coords) -> ProjPoint:
 
 def plucker_embed(basis: Mat) -> ProjPoint:
     """Normalized vector of maximal minors of a full-rank l x m basis."""
-    ell, m = basis.shape
-    if basis.rank() != ell:
+    if basis.rank() != basis.rows:
         raise ValueError("basis rows are linearly dependent")
-    batch = basis.a[None, :, :]
-    coords = []
-    for alpha in enumerate_index_tuples(ell, m):
-        cols = [a - 1 for a in alpha]
-        coords.append(int(det_batched(basis.field, batch[:, :, cols])[0]))
-    return normalize_point(basis.field, coords)
+    return normalize_point(basis.field, maximal_minors(basis.field, basis.a[None])[0])
 
 
-def _cell_coords(field: GF, bases: np.ndarray, ell: int, m: int) -> np.ndarray:
-    """Plücker coordinate matrix (N x C(m, l)) for a stack of bases."""
-    tuples = enumerate_index_tuples(ell, m)
-    out = np.empty((bases.shape[0], len(tuples)), dtype=np.int64)
-    for i, alpha in enumerate(tuples):
-        cols = [a - 1 for a in alpha]
-        out[:, i] = det_batched(field, bases[:, :, cols])
-    return out
-
-
-def iter_grassmann_cells(ell: int, m: int, field: GF, chunk: int = 8192):
+def iter_grassmann_cells(ell: int, m: int, field: GF, chunk: int = 2048):
     """Yield (pivot tuple, bases (N,l,m), coords (N,K)) batches in canonical order."""
     q = field.q
     for pivots0 in combinations(range(m), ell):
@@ -99,7 +84,7 @@ def iter_grassmann_cells(ell: int, m: int, field: GF, chunk: int = 8192):
         for start in range(0, total, chunk):
             stop = min(start + chunk, total)
             bases = build_rref_batch(pivots0, m, digit_block(q, nfree, start, stop))
-            coords = _cell_coords(field, bases, ell, m)
+            coords = maximal_minors(field, bases)
             yield tuple(p + 1 for p in pivots0), bases, coords
 
 
@@ -115,7 +100,8 @@ def enumerate_grassmann_points(
     points: list[ProjPoint] = []
     for _, _, coords in iter_grassmann_cells(ell, m, field):
         points.extend(map(tuple, coords.tolist()))
-    assert len(points) == expected
+    if len(points) != expected:
+        raise RuntimeError(f"enumerated {len(points)} points of G({ell},{m}), expected {expected}")
     ambient = len(enumerate_index_tuples(ell, m))
     return ProjSystem(field, ambient, points, zeros(field, 0, ambient), ell=ell, m=m)
 
@@ -172,8 +158,8 @@ def read_points_file(path: str) -> ProjSystem:
     if len(lines) < 2 or not lines[0].startswith("# gf") or not lines[1].startswith("# plucker"):
         raise SpecParseError(f"{path}: missing field/plucker headers")
     field = parse_field_header(lines[0])
-    kv = dict(item.split("=", 1) for item in lines[1].lstrip("#").split()[1:])
     try:
+        kv = dict(item.split("=", 1) for item in lines[1].lstrip("#").split()[1:])
         ell, m = int(kv["l"]), int(kv["m"])
     except (KeyError, ValueError) as exc:
         raise SpecParseError(f"{path}: bad plucker header") from exc

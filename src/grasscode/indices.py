@@ -53,7 +53,8 @@ def gaussian_binomial(m: int, ell: int, q: int) -> int:
     for i in range(ell):
         num *= q**m - q**i
         den *= q**ell - q**i
-    assert num % den == 0
+    if num % den:
+        raise RuntimeError(f"gaussian binomial {num}/{den} is not an integer")
     return num // den
 
 

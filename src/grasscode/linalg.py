@@ -9,6 +9,7 @@ scaling ambiguity.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -216,21 +217,44 @@ def intersect_row_spaces(a: Mat, b: Mat) -> Mat:
     return Mat(a.field, inter).rref_basis()
 
 
-def det_batched(field: GF, bases: np.ndarray) -> np.ndarray:
-    """Determinants of a (N, l, l) stack, cofactor expansion along the first row."""
-    n = bases.shape[-1]
-    if n == 0:
-        return np.ones(bases.shape[0], dtype=np.int64)
-    if n == 1:
-        return np.array(bases[:, 0, 0])
-    acc = None
-    for j in range(n):
-        sub = np.delete(bases[:, 1:, :], j, axis=2)
-        term = field.mul_arr(bases[:, 0, j], det_batched(field, sub))
-        if j % 2 == 1:
-            term = field.neg_arr(term)
-        acc = term if acc is None else field.add_arr(acc, term)
-    return acc
+@lru_cache(maxsize=None)
+def _laplace_plan(ell: int, m: int) -> tuple:
+    """Gather indices of the Laplace pass, per j = 2..l and term t < j.
+
+    Column subsets are indexed in lex order.  For each j-subset S, ``cols``
+    holds its t-th column c and ``sub`` the index of S - {c} among the
+    (j-1)-subsets.
+    """
+    plan = []
+    for j in range(2, ell + 1):
+        index = {s: i for i, s in enumerate(combinations(range(m), j - 1))}
+        subsets = list(combinations(range(m), j))
+        plan.append(
+            [
+                (np.array([s[t] for s in subsets]), np.array([index[s[:t] + s[t + 1 :]] for s in subsets]))
+                for t in range(j)
+            ]
+        )
+    return tuple(plan)
+
+
+def maximal_minors(field: GF, bases: np.ndarray) -> np.ndarray:
+    """All C(m, l) maximal minors of an (N, l, m) stack, column subsets in lex order.
+
+    The minors of the bottom j rows on every j-subset of columns come from
+    those of the bottom j - 1 rows, by expansion along row l - j, one
+    signed term at a time.
+    """
+    ell = bases.shape[1]
+    minors = np.array(bases[:, ell - 1, :])
+    for j, terms in enumerate(_laplace_plan(ell, bases.shape[2]), start=2):
+        row = bases[:, ell - j, :]
+        acc = field.mul_arr(row[:, terms[0][0]], minors[:, terms[0][1]])
+        for t, (cols, sub) in enumerate(terms[1:], start=1):
+            term = field.mul_arr(row[:, cols], minors[:, sub])
+            acc = field.sub_arr(acc, term) if t % 2 else field.add_arr(acc, term)
+        minors = acc
+    return minors
 
 
 # -- enumeration of canonical rref representatives of subspaces -------------

@@ -383,7 +383,8 @@ def lagrangian_count(n: int, q: int) -> int:
 def isotropic_count(ell: int, n: int, q: int) -> int:
     num = prod(q ** (2 * n - 2 * i) - 1 for i in range(ell))
     den = prod(q ** (i + 1) - 1 for i in range(ell))
-    assert num % den == 0
+    if num % den:
+        raise RuntimeError(f"isotropic count {num}/{den} is not an integer")
     return num // den
 
 

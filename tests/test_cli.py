@@ -54,6 +54,27 @@ def test_parse_errors(capsys):
     assert code == EXIT_PARSE
 
 
+def _weights_with_field_header(tmp_path, capsys, header):
+    path = tmp_path / "bad.code"
+    path.write_text(f"{header}\n# code n=2 k=1 source=test\n1 1\n")
+    return run_cli(capsys, "weights", str(path), "--r-max", "1")
+
+
+def test_field_header_item_without_equals(tmp_path, capsys):
+    code, _, err = _weights_with_field_header(tmp_path, capsys, "# gf p=2 e=1 modulus")
+    assert code == EXIT_PARSE and "field header" in err
+
+
+def test_field_header_non_prime_p(tmp_path, capsys):
+    code, _, err = _weights_with_field_header(tmp_path, capsys, "# gf p=4 e=1 modulus=0,1")
+    assert code == EXIT_PARSE and "not prime" in err
+
+
+def test_field_header_reducible_modulus(tmp_path, capsys):
+    code, _, err = _weights_with_field_header(tmp_path, capsys, "# gf p=2 e=2 modulus=1,0,1")
+    assert code == EXIT_PARSE and "reducible" in err
+
+
 def test_budget_exceeded_exit(capsys):
     code, _, err = run_cli(capsys, "count", "grassmann:2,4", "--q", "2", "--budget-points", "5")
     assert code == EXIT_BUDGET and "budget" in err

@@ -1,4 +1,10 @@
+import random
+from itertools import product
+
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grasscode.field import GF, _is_irreducible, field_for_order, is_prime, make_field, parse_field_header
 
@@ -129,10 +135,129 @@ def test_field_for_order():
 
 
 def test_large_field_scalar_path():
-    # beyond the table limit: on-the-fly polynomial arithmetic
+    # beyond the q x q table limit: log/exp tables
     f = make_field(2, 10)
     assert f.q == 1024
     a, b = 513, 700
     assert f.mul(a, f.inv(a)) == 1
     assert f.add(a, b) == a ^ b
     assert f.pow(a, f.q) == a
+
+
+def _reducible_monics(p, e):
+    """Every product of two monic polynomials of positive degree, as coefficient tuples."""
+    monics = {d: [c + (1,) for c in product(range(p), repeat=d)] for d in range(1, e)}
+    out = set()
+    for d in range(1, e // 2 + 1):
+        for f, g in product(monics[d], monics[e - d]):
+            prod = [0] * (e + 1)
+            for i, x in enumerate(f):
+                for j, y in enumerate(g):
+                    prod[i + j] = (prod[i + j] + x * y) % p
+            out.add(tuple(prod))
+    return out
+
+
+@pytest.mark.parametrize("p,e", [(2, 2), (2, 5), (2, 8), (3, 3), (3, 4), (5, 2), (5, 3)])
+def test_irreducibility_matches_product_sieve(p, e):
+    # oracle: a monic polynomial is reducible iff it is a product of two
+    # monic polynomials of lower degree
+    reducible = _reducible_monics(p, e)
+    for c in product(range(p), repeat=e):
+        poly = c + (1,)
+        assert _is_irreducible(list(poly), p) == (poly not in reducible)
+
+
+# -- the vectorized paths against the polynomial reference ---------------------
+
+LARGE_FIELDS = [
+    make_field(17, 2),
+    make_field(2, 9),
+    make_field(3, 6),
+    make_field(2, 16),
+    make_field(3, 10),
+    # x^2 - 3 is irreducible over GF(17) but not the default modulus x^2 + 3
+    parse_field_header("# gf p=17 e=2 modulus=14,0,1"),
+]
+
+
+def test_non_default_modulus_header():
+    f = LARGE_FIELDS[-1]
+    assert f.modulus == (14, 0, 1) and f.modulus != make_field(17, 2).modulus
+    # x * x = 3 under this modulus; the default one gives -3 = 14
+    assert f.mul(17, 17) == 3 and make_field(17, 2).mul(17, 17) == 14
+
+
+@pytest.mark.parametrize("f", LARGE_FIELDS, ids=repr)
+def test_large_field_array_ops_match_polynomials(f):
+    rng = random.Random(f.q + sum(f.modulus))
+    # all edge elements, then random ones
+    xs = [0, 1, f.q - 1] * 3 + [rng.randrange(f.q) for _ in range(300)]
+    ys = [0, 0, 0, 1, 1, 1, f.q - 1, f.q - 1, f.q - 1] + [rng.randrange(f.q) for _ in range(300)]
+    x = np.array(xs, dtype=np.int64)
+    y = np.array(ys, dtype=np.int64)
+    assert f.mul_arr(x, y).tolist() == [f._scalar_mul_poly(a, b) for a, b in zip(xs, ys)]
+    assert f.add_arr(x, y).tolist() == [f._scalar_add_poly(a, b) for a, b in zip(xs, ys)]
+    neg = f.neg_arr(x).tolist()
+    assert all(f._scalar_add_poly(a, n) == 0 for a, n in zip(xs, neg))
+    diff = f.sub_arr(x, y).tolist()
+    assert all(f._scalar_add_poly(d, b) == a for a, b, d in zip(xs, ys, diff))
+    # the scalar operations use the same tables
+    assert [f.mul(a, b) for a, b in zip(xs, ys)] == f.mul_arr(x, y).tolist()
+    assert [f.add(a, b) for a, b in zip(xs, ys)] == f.add_arr(x, y).tolist()
+    assert [f.neg(a) for a in xs] == neg
+    for a in xs:
+        if a:
+            assert f._scalar_mul_poly(a, f.inv(a)) == 1
+
+
+@pytest.mark.parametrize("f", LARGE_FIELDS, ids=repr)
+def test_large_field_matmul_matches_polynomials(f):
+    rng = np.random.default_rng(f.q)
+    A = rng.integers(0, f.q, size=(3, 4))
+    B = rng.integers(0, f.q, size=(4, 5))
+    expected = np.zeros((3, 5), dtype=np.int64)
+    for i, j, k in product(range(3), range(5), range(4)):
+        term = f._scalar_mul_poly(int(A[i, k]), int(B[k, j]))
+        expected[i, j] = f._scalar_add_poly(int(expected[i, j]), term)
+    assert np.array_equal(f.matmul(A, B), expected)
+    # batched left operand
+    stack = np.stack([A, A[::-1]])
+    assert np.array_equal(f.matmul(stack, B)[0], expected)
+
+
+# -- field axioms as properties, for both table layouts --------------------------
+
+SMALL_EXTENSIONS = [make_field(p, e) for p, e in [(2, 2), (2, 8), (3, 2), (3, 5), (5, 3), (13, 2)]]
+
+
+def _check_axioms(f, a, b, c):
+    assert f.add(a, b) == f.add(b, a) and f.mul(a, b) == f.mul(b, a)
+    assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
+    assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
+    assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
+    assert f.add(a, f.neg(a)) == 0 and f.sub(f.add(a, b), b) == a
+    if a:
+        assert f.mul(a, f.inv(a)) == 1
+    # the array operations agree with the scalar ones
+    arr = np.array([a, b, c], dtype=np.int64)
+    assert f.mul_arr(arr, arr[::-1]).tolist() == [f.mul(a, c), f.mul(b, b), f.mul(c, a)]
+    assert f.sub_arr(arr, arr[::-1]).tolist() == [f.sub(a, c), 0, f.sub(c, a)]
+
+
+def _field_and_elements(fields):
+    return st.sampled_from(fields).flatmap(
+        lambda f: st.tuples(st.just(f), *[st.integers(0, f.q - 1)] * 3)
+    )
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_field_and_elements(LARGE_FIELDS))
+def test_field_axioms_large_fields(args):
+    _check_axioms(*args)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(_field_and_elements(SMALL_EXTENSIONS))
+def test_field_axioms_small_extensions(args):
+    _check_axioms(*args)

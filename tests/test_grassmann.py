@@ -113,3 +113,10 @@ def test_points_file_roundtrip(tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("# nope\n")
         read_points_file(str(bad))
+    bad = tmp_path / "bad_plucker.txt"
+    for header in ("# plucker l=2 m", "# gf p=3 e=1 modulus"):
+        lines = text[:2]
+        lines[1 if "plucker" in header else 0] = header
+        bad.write_text("\n".join(lines) + "\n")
+        with pytest.raises(SpecParseError):
+            read_points_file(str(bad))

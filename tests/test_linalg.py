@@ -1,5 +1,5 @@
 import random
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 
 import numpy as np
 import pytest
@@ -7,11 +7,11 @@ import pytest
 from grasscode.field import make_field
 from grasscode.linalg import (
     Mat,
-    det_batched,
     from_rows,
     identity,
     intersect_row_spaces,
     iter_rref_batches,
+    maximal_minors,
     row_space_equal,
     solve_membership,
     vstack,
@@ -114,7 +114,27 @@ def test_det_matches_permutation_expansion(field):
         mat = Mat(field, rows)
         expected = _det_oracle(field, rows)
         assert mat.det() == expected
-        assert int(det_batched(field, np.array([rows], dtype=np.int64))[0]) == expected
+        assert maximal_minors(field, np.array([rows], dtype=np.int64)).tolist() == [[expected]]
+
+
+@pytest.mark.parametrize(
+    "field",
+    [F3, make_field(7, 1), F4, make_field(2, 3), make_field(3, 2), make_field(17, 2), make_field(2, 9)],
+    ids=repr,
+)
+@pytest.mark.parametrize("ell", [1, 2, 3, 4])
+def test_maximal_minors_match_elimination_det(field, ell):
+    rng = np.random.default_rng(field.q * 10 + ell)
+    m = ell + 3
+    bases = rng.integers(0, field.q, size=(20, ell, m))
+    bases[0, :, :] = 0  # a zero basis: every minor vanishes
+    bases[1, -1] = bases[1, 0]  # repeated rows: every minor vanishes for ell > 1
+    minors = maximal_minors(field, bases)
+    subsets = list(combinations(range(m), ell))
+    assert minors.shape == (20, len(subsets))
+    for basis, row in zip(bases, minors):
+        assert row.tolist() == [Mat(field, basis[:, list(s)]).det() for s in subsets]
+    assert not minors[0].any()
 
 
 def _span_set(field, mat):
