@@ -155,6 +155,8 @@ def cmd_build(args) -> int:
 def cmd_weights(args) -> int:
     config = _resolve_config(args, need_field=False)
     code = read_code_file(args.codefile)
+    if not 0 <= args.r_max <= code.k:
+        raise SpecParseError(f"--r-max must be in 0..{code.k}, got {args.r_max}")
     profile = weight_profile(
         code,
         r_max=args.r_max,

@@ -1,11 +1,15 @@
 """Linear codes from projective systems and their exhaustive invariants.
 
 The code of a system is the row space of the matrix whose columns are the
-points; the generator is canonicalized by rref.  Minimum distance and
-higher weights come from exhaustive scans with two independently coded
-routes (codeword weights vs. zero-counts of dual sections) that must
-agree.  Scans run over deterministic contiguous chunks so results are
-identical for any worker count.
+points; the generator is canonicalized by rref.  Every invariant is one
+exhaustive scan over r-dimensional subcodes, walked as canonical rref
+bases in the order of ``linalg.rref_chunks`` (for r = 1, one normalized
+message per projective class of codewords).  A scan multiplies each chunk
+of bases by the generator and reduces the products: ``d_r`` is the least
+support size of an r-dim subcode (Wei 1991), ``d`` and the weight
+enumerator come from the r = 1 supports, and the hyperplane route to ``d``
+is n minus the largest zero count.  Chunks are fixed and contiguous, so
+results are identical for any worker count.
 """
 
 from __future__ import annotations
@@ -13,7 +17,6 @@ from __future__ import annotations
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from itertools import combinations, product
 
 import numpy as np
 
@@ -21,7 +24,7 @@ from .errors import BudgetExceededError, SpecParseError
 from .field import GF, parse_field_header
 from .grassmann import ProjSystem
 from .indices import gaussian_binomial
-from .linalg import Mat, build_rref_batch, digit_block, rref_free_positions
+from .linalg import Mat, rref_batch, rref_chunks
 
 DEFAULT_SCAN_BUDGET = 1 << 26
 CHUNK = 4096
@@ -55,62 +58,60 @@ def build_code(system: ProjSystem) -> LinearCode:
     return LinearCode(system.field, len(system.points), k, gen, provenance=system.source)
 
 
-def _map_chunks(fn, chunks, workers: int):
+# -- scans over r-dimensional subcodes -------------------------------------------
+
+
+def _scan(code: LinearCode, r: int, reduce, workers: int) -> list:
+    """reduce(words) per chunk of r-dim subcodes, words the (N, r, n) products of their bases and G."""
+    q, k = code.field.q, code.k
+    gen_arr = code.generator.a
+
+    def run(chunk):
+        pivots, start, stop = chunk
+        return reduce(code.field.matmul(rref_batch(q, k, pivots, start, stop), gen_arr))
+
+    chunks = rref_chunks(q, r, k, CHUNK)
     if workers <= 1:
-        return [fn(c) for c in chunks]
+        return [run(c) for c in chunks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, chunks))
+        return list(pool.map(run, chunks))
 
 
-# -- codeword route: one representative per projective message class ---------
+def _supports(words: np.ndarray) -> np.ndarray:
+    """Support size of each subcode of an (N, r, n) stack: columns where some row is nonzero."""
+    return (words != 0).any(axis=1).sum(axis=1)
 
 
-def _codeword_chunks(q: int, k: int):
-    """Chunk descriptors (first_nonzero, start, stop) covering every class once."""
-    out = []
-    for i in range(k):
-        total = q ** (k - 1 - i)
-        for start in range(0, total, CHUNK):
-            out.append((i, start, min(start + CHUNK, total)))
-    return out
+def _min_support(words: np.ndarray) -> int:
+    return int(_supports(words).min())
 
 
-def _class_weights(field: GF, gen_arr: np.ndarray, chunk) -> np.ndarray:
-    i, start, stop = chunk
-    k = gen_arr.shape[0]
-    nfree = k - 1 - i
-    msgs = np.zeros((stop - start, k), dtype=np.int64)
-    msgs[:, i] = 1
-    if nfree:
-        msgs[:, i + 1 :] = digit_block(field.q, nfree, start, stop)
-    words = field.matmul(msgs, gen_arr)
-    return np.count_nonzero(words, axis=1)
+# -- budgets: (scan name, scan size), checked before a scan starts -------------
 
 
-# -- dual route: hyperplanes / codimension-r sections -------------------------
+def _check(scan: tuple[str, int], budget: int) -> None:
+    what, needed = scan
+    if needed > budget:
+        raise BudgetExceededError(what, needed, budget)
 
 
-def _hyperplane_chunks(q: int, k: int):
-    """Chunk descriptors (last_nonzero, start, stop), one normal per class."""
-    out = []
-    for j in range(k):
-        total = q**j
-        for start in range(0, total, CHUNK):
-            out.append((j, start, min(start + CHUNK, total)))
-    return out
+def _distance_scan(code: LinearCode, method: str) -> tuple[str, int]:
+    q, k = code.field.q, code.k
+    if method == "codewords":
+        return "codeword scan", q**k
+    if method == "hyperplanes":
+        return "hyperplane scan", (q**k - 1) // (q - 1)
+    raise ValueError(f"unknown method {method!r}")
 
 
-def _section_zero_counts(field: GF, gen_arr: np.ndarray, chunk) -> np.ndarray:
-    j, start, stop = chunk
-    k = gen_arr.shape[0]
-    hs = np.zeros((stop - start, k), dtype=np.int64)
-    hs[:, j] = 1
-    if j:
-        idx = np.unravel_index(np.arange(start, stop), (field.q,) * j)
-        for t in range(j):
-            hs[:, t] = idx[t]
-    vals = field.matmul(hs, gen_arr)
-    return (vals == 0).sum(axis=1)
+def _subcode_scan(code: LinearCode, r: int) -> tuple[str, int]:
+    if not 1 <= r <= code.k:
+        raise ValueError(f"need 1 <= r <= k={code.k}, got r={r}")
+    return f"subcode scan (r={r})", gaussian_binomial(code.k, r, code.field.q)
+
+
+def _enumerator_scan(code: LinearCode) -> tuple[str, int]:
+    return "weight enumerator scan", code.field.q**code.k
 
 
 def min_distance(
@@ -119,121 +120,35 @@ def min_distance(
     workers: int = 1,
     budget: int = DEFAULT_SCAN_BUDGET,
 ) -> int:
-    """Exhaustive minimum distance by the chosen route."""
-    q, k = code.field.q, code.k
-    gen_arr = code.generator.a
+    """Exhaustive minimum distance: least codeword weight, or n minus the most points on a hyperplane."""
+    _check(_distance_scan(code, method), budget)
     if method == "codewords":
-        if q**k > budget:
-            raise BudgetExceededError("codeword scan", q**k, budget)
-        chunks = _codeword_chunks(q, k)
-        mins = _map_chunks(lambda c: int(_class_weights(code.field, gen_arr, c).min()), chunks, workers)
-        return min(mins)
-    if method == "hyperplanes":
-        classes = (q**k - 1) // (q - 1)
-        if classes > budget:
-            raise BudgetExceededError("hyperplane scan", classes, budget)
-        chunks = _hyperplane_chunks(q, k)
-        maxima = _map_chunks(
-            lambda c: int(_section_zero_counts(code.field, gen_arr, c).max()), chunks, workers
-        )
-        return code.n - max(maxima)
-    raise ValueError(f"unknown method {method!r}")
-
-
-# -- higher weights -----------------------------------------------------------
-
-
-def _subcode_chunks(q: int, r: int, k: int):
-    out = []
-    for pivots in combinations(range(k), r):
-        total = q ** len(rref_free_positions(pivots, k))
-        for start in range(0, total, CHUNK):
-            out.append((pivots, start, min(start + CHUNK, total)))
-    return out
-
-
-def _subcode_supports(field: GF, gen_arr: np.ndarray, chunk) -> np.ndarray:
-    pivots, start, stop = chunk
-    k = gen_arr.shape[0]
-    nfree = len(rref_free_positions(pivots, k))
-    mats = build_rref_batch(pivots, k, digit_block(field.q, nfree, start, stop))
-    words = field.matmul(mats, gen_arr)
-    return (words != 0).any(axis=1).sum(axis=1)
+        return min(_scan(code, 1, _min_support, workers))
+    maxima = _scan(code, 1, lambda words: int((words[:, 0] == 0).sum(axis=1).max()), workers)
+    return code.n - max(maxima)
 
 
 def higher_weight(
     code: LinearCode, r: int, workers: int = 1, budget: int = DEFAULT_SCAN_BUDGET
 ) -> int:
     """Minimum support size over r-dimensional subcodes, scanned exhaustively."""
-    q, k = code.field.q, code.k
-    if not 1 <= r <= k:
-        raise ValueError(f"need 1 <= r <= k={k}, got r={r}")
-    count = gaussian_binomial(k, r, q)
-    if count > budget:
-        raise BudgetExceededError(f"subcode scan (r={r})", count, budget)
-    gen_arr = code.generator.a
-    chunks = _subcode_chunks(q, r, k)
-    mins = _map_chunks(lambda c: int(_subcode_supports(code.field, gen_arr, c).min()), chunks, workers)
-    return min(mins)
-
-
-def _iter_sections(q: int, r: int, k: int):
-    """Every full-rank r x k rref matrix, built column-recursively."""
-
-    def rec(col: int, rows: list[list[int]]):
-        t = len(rows)
-        if r - t > k - col:
-            return
-        if col == k:
-            if t == r:
-                yield [row[:] for row in rows]
-            return
-        if t < r:
-            yield from rec(col + 1, [row + [0] for row in rows] + [[0] * col + [1]])
-        for vals in product(range(q), repeat=t):
-            yield from rec(col + 1, [row + [v] for row, v in zip(rows, vals)])
-
-    yield from rec(0, [])
-
-
-def higher_weight_geometric(
-    code: LinearCode, r: int, budget: int = DEFAULT_SCAN_BUDGET
-) -> int:
-    """Independent oracle: n minus the best point count of a codimension-r section."""
-    q, k = code.field.q, code.k
-    if not 1 <= r <= k:
-        raise ValueError(f"need 1 <= r <= k={k}, got r={r}")
-    count = gaussian_binomial(k, r, q)
-    if count > budget:
-        raise BudgetExceededError(f"section scan (r={r})", count, budget)
-    gen_arr = code.generator.a
-    best = -1
-    for rows in _iter_sections(q, r, k):
-        vals = code.field.matmul(np.array(rows, dtype=np.int64), gen_arr)
-        best = max(best, int((~vals.any(axis=0)).sum()))
-    return code.n - best
-
-
-# -- weight enumerator ---------------------------------------------------------
+    _check(_subcode_scan(code, r), budget)
+    return min(_scan(code, r, _min_support, workers))
 
 
 def weight_enumerator(
     code: LinearCode, workers: int = 1, budget: int = DEFAULT_SCAN_BUDGET
 ) -> dict[int, int]:
     """Weight -> count over all q^k codewords, including the zero word."""
+    _check(_enumerator_scan(code), budget)
     q, k = code.field.q, code.k
-    if q**k > budget:
-        raise BudgetExceededError("weight enumerator scan", q**k, budget)
-    gen_arr = code.generator.a
-    chunks = _codeword_chunks(q, k)
 
-    def tally(chunk):
-        weights = _class_weights(code.field, gen_arr, chunk)
-        vals, counts = np.unique(weights, return_counts=True)
+    def tally(words):
+        vals, counts = np.unique(_supports(words), return_counts=True)
         return Counter(dict(zip(vals.tolist(), counts.tolist())))
 
     total: Counter = Counter()
-    for part in _map_chunks(tally, chunks, workers):
+    for part in _scan(code, 1, tally, workers):
         total.update(part)
     out = {0: 1}
     for w, c in total.items():
@@ -272,6 +187,11 @@ def weight_profile(
     workers: int = 1,
     budget: int = DEFAULT_SCAN_BUDGET,
 ) -> WeightProfile:
+    # every budget is checked before the first scan, in the order the scans run
+    _check(_distance_scan(code, method), budget)
+    for r in range(1, r_max + 1):
+        _check(_subcode_scan(code, r), budget)
+    _check(_enumerator_scan(code), budget)
     d = min_distance(code, method=method, workers=workers, budget=budget)
     hw = [higher_weight(code, r, workers=workers, budget=budget) for r in range(1, r_max + 1)]
     if hw and hw[0] != d:
@@ -297,19 +217,21 @@ def read_code_file(path: str) -> LinearCode:
     if len(lines) < 2 or not lines[0].startswith("# gf") or not lines[1].startswith("# code"):
         raise SpecParseError(f"{path}: missing field/code headers")
     field = parse_field_header(lines[0])
-    kv = dict(item.split("=", 1) for item in lines[1].lstrip("#").split()[1:])
     try:
+        kv = dict(item.split("=", 1) for item in lines[1].lstrip("#").split()[1:])
         n, k = int(kv["n"]), int(kv["k"])
-        source = kv.get("source", "unknown")
     except (KeyError, ValueError) as exc:
         raise SpecParseError(f"{path}: bad code header") from exc
-    rows = [[int(x) for x in line.split()] for line in lines[2:]]
+    try:
+        rows = [[int(x) for x in line.split()] for line in lines[2:]]
+    except ValueError as exc:
+        raise SpecParseError(f"{path}: bad generator entry") from exc
     if len(rows) != k or any(len(row) != n for row in rows):
         raise SpecParseError(f"{path}: generator shape does not match header")
     try:
         gen = Mat(field, np.array(rows, dtype=np.int64))
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise SpecParseError(f"{path}: {exc}") from exc
     if gen.rank() != k:
         raise SpecParseError(f"{path}: generator rows are dependent")
-    return LinearCode(field, n, k, gen, provenance=source)
+    return LinearCode(field, n, k, gen, provenance=kv.get("source", "unknown"))

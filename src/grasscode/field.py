@@ -95,13 +95,14 @@ class GF:
     """The finite field GF(p^e) acting on integer-encoded elements."""
 
     def __init__(self, p: int, e: int, modulus=None):
-        if not is_prime(p):
-            raise ValueError(f"p={p} is not prime")
         if e < 1:
             raise ValueError(f"e={e} must be >= 1")
+        # bounded before the trial-division primality test, which is slow for a large p
+        if p > Q_LIMIT or e >= Q_LIMIT.bit_length() or p**e > Q_LIMIT:
+            raise ValueError(f"q={p}^{e} exceeds supported limit {Q_LIMIT}")
+        if not is_prime(p):
+            raise ValueError(f"p={p} is not prime")
         q = p**e
-        if q > Q_LIMIT:
-            raise ValueError(f"q={q} exceeds supported limit {Q_LIMIT}")
         self.p = p
         self.e = e
         self.q = q
@@ -385,6 +386,8 @@ def field_for_order(q: int) -> GF:
     """GF(q) for a prime power q, deterministic modulus choice."""
     if q < 2:
         raise ValueError(f"q={q} is not a prime power")
+    if q > Q_LIMIT:
+        raise ValueError(f"q={q} exceeds supported limit {Q_LIMIT}")
     for p in range(2, q + 1):
         if q % p == 0:
             e = 0

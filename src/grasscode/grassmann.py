@@ -16,12 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError
-from .field import GF
+from .errors import BudgetExceededError, SpecParseError
+from .field import GF, parse_field_header
 from .indices import enumerate_index_tuples, gaussian_binomial, index_positions
-from .linalg import Mat, build_rref_batch, digit_block, maximal_minors, rref_free_positions, zeros
-
-from itertools import combinations
+from .linalg import Mat, maximal_minors, rref_batch, rref_chunks, zeros
 
 ProjPoint = tuple[int, ...]
 
@@ -77,15 +75,9 @@ def plucker_embed(basis: Mat) -> ProjPoint:
 
 def iter_grassmann_cells(ell: int, m: int, field: GF, chunk: int = 2048):
     """Yield (pivot tuple, bases (N,l,m), coords (N,K)) batches in canonical order."""
-    q = field.q
-    for pivots0 in combinations(range(m), ell):
-        nfree = len(rref_free_positions(pivots0, m))
-        total = q**nfree
-        for start in range(0, total, chunk):
-            stop = min(start + chunk, total)
-            bases = build_rref_batch(pivots0, m, digit_block(q, nfree, start, stop))
-            coords = maximal_minors(field, bases)
-            yield tuple(p + 1 for p in pivots0), bases, coords
+    for pivots, start, stop in rref_chunks(field.q, ell, m, chunk):
+        bases = rref_batch(field.q, m, pivots, start, stop)
+        yield tuple(p + 1 for p in pivots), bases, maximal_minors(field, bases)
 
 
 def enumerate_grassmann_points(
@@ -150,9 +142,6 @@ def write_points_file(sys: ProjSystem, path: str) -> None:
 
 
 def read_points_file(path: str) -> ProjSystem:
-    from .errors import SpecParseError
-    from .field import parse_field_header
-
     with open(path) as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip()]
     if len(lines) < 2 or not lines[0].startswith("# gf") or not lines[1].startswith("# plucker"):
@@ -161,14 +150,18 @@ def read_points_file(path: str) -> ProjSystem:
     try:
         kv = dict(item.split("=", 1) for item in lines[1].lstrip("#").split()[1:])
         ell, m = int(kv["l"]), int(kv["m"])
+        ambient = len(enumerate_index_tuples(ell, m))
     except (KeyError, ValueError) as exc:
         raise SpecParseError(f"{path}: bad plucker header") from exc
-    ambient = len(enumerate_index_tuples(ell, m))
     points = []
     for line in lines[2:]:
-        point = tuple(int(c) for c in line.split(","))
+        try:
+            point = tuple(int(c) for c in line.split(","))
+        except ValueError as exc:
+            raise SpecParseError(f"{path}: bad point entry") from exc
         if len(point) != ambient:
             raise SpecParseError(f"{path}: point of wrong length")
-        field.check_elements(np.array(point))
+        if any(not 0 <= c < field.q for c in point):
+            raise SpecParseError(f"{path}: point entries outside [0, {field.q})")
         points.append(point)
     return ProjSystem(field, ambient, points, zeros(field, 0, ambient), ell=ell, m=m)

@@ -261,8 +261,8 @@ def maximal_minors(field: GF, bases: np.ndarray) -> np.ndarray:
 #
 # Full-rank r x k matrices in rref, pivot column sets in lexicographic
 # order, free entries cycling like an odometer (row-major positions, last
-# position fastest).  This ordering is the global canonical order for both
-# Grassmannian points and subcode scans.
+# position fastest).  This ordering is the global canonical order for
+# Grassmannian points and for every code scan.
 
 
 def rref_free_positions(pivots: tuple[int, ...], k: int) -> list[tuple[int, int]]:
@@ -275,35 +275,21 @@ def rref_free_positions(pivots: tuple[int, ...], k: int) -> list[tuple[int, int]
     ]
 
 
-def digit_block(q: int, nfree: int, start: int, stop: int) -> np.ndarray:
-    """Rows start..stop-1 of the odometer over nfree base-q digits."""
-    idx = np.arange(start, stop, dtype=np.int64)
-    out = np.empty((stop - start, nfree), dtype=np.int64)
-    for t in range(nfree):
-        out[:, t] = (idx // q ** (nfree - 1 - t)) % q
-    return out
+def rref_chunks(q: int, r: int, k: int, chunk: int):
+    """Yield (pivots, start, stop) covering every r-dim subspace of F_q^k once, in canonical order."""
+    for pivots in combinations(range(k), r):
+        total = q ** len(rref_free_positions(pivots, k))
+        for start in range(0, total, chunk):
+            yield pivots, start, min(start + chunk, total)
 
 
-def build_rref_batch(
-    pivots: tuple[int, ...], k: int, digits: np.ndarray
-) -> np.ndarray:
-    """(N, r, k) stack of rref matrices for one pivot set and a digit block."""
-    r = len(pivots)
-    n = digits.shape[0]
-    out = np.zeros((n, r, k), dtype=np.int64)
+def rref_batch(q: int, k: int, pivots: tuple[int, ...], start: int, stop: int) -> np.ndarray:
+    """(N, r, k) stack of the rref matrices start..stop-1 of one pivot set."""
+    out = np.zeros((stop - start, len(pivots), k), dtype=np.int64)
     for i, c in enumerate(pivots):
         out[:, i, c] = 1
-    for t, (i, j) in enumerate(rref_free_positions(pivots, k)):
-        out[:, i, j] = digits[:, t]
+    idx = np.arange(start, stop, dtype=np.int64)
+    for i, j in reversed(rref_free_positions(pivots, k)):
+        out[:, i, j] = idx % q
+        idx //= q
     return out
-
-
-def iter_rref_batches(field: GF, r: int, k: int, chunk: int = 4096):
-    """Yield (N, r, k) batches covering every r-dim subspace of F_q^k once."""
-    q = field.q
-    for pivots in combinations(range(k), r):
-        nfree = len(rref_free_positions(pivots, k))
-        total = q**nfree
-        for start in range(0, total, chunk):
-            stop = min(start + chunk, total)
-            yield build_rref_batch(pivots, k, digit_block(q, nfree, start, stop))

@@ -1,8 +1,18 @@
+import contextlib
+import io
 import json
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 import grasscode.cli as cli
+from conftest import variety
 from grasscode.bounds import BoundReport
 from grasscode.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
+from grasscode.codes import build_code, write_code_file
+from grasscode.errors import SpecParseError
+from grasscode.field import GF
+from grasscode.grassmann import enumerate_grassmann_points, read_points_file, write_points_file
 
 
 def run_cli(capsys, *argv):
@@ -52,12 +62,20 @@ def test_parse_errors(capsys):
     assert code == EXIT_PARSE
     code, _, err = run_cli(capsys, "count", "grassmann:2,4", "--q", "6")
     assert code == EXIT_PARSE
+    # a large prime is refused by size, before any trial division
+    code, _, err = run_cli(capsys, "count", "grassmann:2,4", "--q", str(2**61 - 1))
+    assert code == EXIT_PARSE and "exceeds supported limit" in err
+
+
+def _weights_on_file(tmp_path, capsys, text, *flags):
+    path = tmp_path / "bad.code"
+    path.write_text(text)
+    return run_cli(capsys, "weights", str(path), *flags)
 
 
 def _weights_with_field_header(tmp_path, capsys, header):
-    path = tmp_path / "bad.code"
-    path.write_text(f"{header}\n# code n=2 k=1 source=test\n1 1\n")
-    return run_cli(capsys, "weights", str(path), "--r-max", "1")
+    text = f"{header}\n# code n=2 k=1 source=test\n1 1\n"
+    return _weights_on_file(tmp_path, capsys, text, "--r-max", "1")
 
 
 def test_field_header_item_without_equals(tmp_path, capsys):
@@ -70,9 +88,54 @@ def test_field_header_non_prime_p(tmp_path, capsys):
     assert code == EXIT_PARSE and "not prime" in err
 
 
+def test_field_header_large_p(tmp_path, capsys):
+    code, _, err = _weights_with_field_header(tmp_path, capsys, f"# gf p={2**61 - 1} e=1 modulus=0,1")
+    assert code == EXIT_PARSE and "exceeds supported limit" in err
+
+
 def test_field_header_reducible_modulus(tmp_path, capsys):
     code, _, err = _weights_with_field_header(tmp_path, capsys, "# gf p=2 e=2 modulus=1,0,1")
     assert code == EXIT_PARSE and "reducible" in err
+
+
+def test_code_header_item_without_equals(tmp_path, capsys):
+    text = "# gf p=2 e=1 modulus=0,1\n# code n=2 k=1 source\n1 1\n"
+    code, _, err = _weights_on_file(tmp_path, capsys, text)
+    assert code == EXIT_PARSE and "bad code header" in err
+
+
+def test_code_non_integer_entry(tmp_path, capsys):
+    text = "# gf p=2 e=1 modulus=0,1\n# code n=2 k=1 source=test\n1 x\n"
+    code, _, err = _weights_on_file(tmp_path, capsys, text)
+    assert code == EXIT_PARSE and "bad generator entry" in err
+
+
+def test_weights_r_max_range(tmp_path, capsys):
+    out_file = tmp_path / "l24.code"
+    run_cli(capsys, "build", "lagrangian:2", "--q", "2", "--out", str(out_file))  # k = 5
+    for r_max in ("-1", "6"):
+        code, out, err = run_cli(capsys, "weights", str(out_file), "--r-max", r_max)
+        assert code == EXIT_PARSE and out == "" and "--r-max must be in 0..5" in err
+    for r_max, chain in (("0", []), ("5", [6, 10, 12, 14, 15])):
+        code, out, _ = run_cli(capsys, "weights", str(out_file), "--r-max", r_max)
+        assert code == EXIT_OK and json.loads(out)["higher_weights"] == chain
+
+
+def test_weights_budgets_checked_before_any_scan(tmp_path, capsys, monkeypatch):
+    out_file = tmp_path / "g24.code"
+    run_cli(capsys, "build", "grassmann:2,4", "--q", "2", "--out", str(out_file))  # q^k = 64
+    calls = []
+    matmul = GF.matmul
+    monkeypatch.setattr(GF, "matmul", lambda self, a, b: calls.append(1) or matmul(self, a, b))
+    cases = [
+        (("--method", "hyperplanes", "--budget-scans", "63"), "weight enumerator scan needs 64 > budget 63"),
+        (("--r-max", "3", "--budget-scans", "100"), "subcode scan (r=2) needs 651 > budget 100"),
+        (("--budget-scans", "63"), "codeword scan needs 64 > budget 63"),
+    ]
+    for flags, message in cases:
+        code, out, err = run_cli(capsys, "weights", str(out_file), *flags)
+        assert code == EXIT_BUDGET and out == "" and message in err
+    assert calls == []
 
 
 def test_budget_exceeded_exit(capsys):
@@ -172,3 +235,60 @@ def test_verify_disputed_failure_does_not_fail(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_suite", lambda *a, **k: [failed])
     code, _, _ = run_cli(capsys, "verify", "--q", "2")
     assert code == EXIT_OK
+
+
+# -- the exit-code contract under mutated input files -----------------------------
+
+EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["drop-equals", "replace", "delete", "duplicate"]),
+        st.integers(0, 10**4),
+        st.integers(0, 10**4),
+        st.sampled_from(["x", "1.5", "0x1", "", "-1", "2", "3", "99", str(2**70)]),
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+def _mutate(text: str, edits, sep: str) -> str:
+    """Apply token edits: header items split on spaces, data rows on sep."""
+    lines = [line.split(" " if i < 2 else sep) for i, line in enumerate(text.splitlines())]
+    for kind, line_no, token_no, value in edits:
+        if kind == "drop-equals":
+            line = lines[line_no % 2]
+            i = token_no % len(line)
+            line[i] = line[i].replace("=", "", 1)
+            continue
+        line = lines[line_no % len(lines)]
+        i = token_no % len(line)
+        if kind == "replace":
+            line[i] = value
+        elif kind == "delete" and len(line) > 1:
+            del line[i]
+        elif kind == "duplicate":
+            line.insert(i, line[i])
+    return "\n".join((" " if i < 2 else sep).join(line) for i, line in enumerate(lines)) + "\n"
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(edits=EDITS)
+def test_mutated_code_files_exit_cleanly(tmp_path_factory, edits):
+    path = tmp_path_factory.mktemp("code") / "g24.code"
+    write_code_file(build_code(variety("grassmann:2,4", 2)), str(path))
+    path.write_text(_mutate(path.read_text(), edits, " "))
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert main(["weights", str(path), "--r-max", "2"]) in (EXIT_OK, EXIT_PARSE, EXIT_BUDGET)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(edits=EDITS)
+def test_mutated_point_files_parse_or_raise_parse_error(tmp_path_factory, edits):
+    path = tmp_path_factory.mktemp("points") / "g24.txt"
+    write_points_file(enumerate_grassmann_points(2, 4, GF(3, 1)), str(path))
+    path.write_text(_mutate(path.read_text(), edits, ","))
+    try:
+        system = read_points_file(str(path))
+    except SpecParseError:
+        return
+    assert all(len(point) == system.ambient_dim for point in system.points)

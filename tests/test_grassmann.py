@@ -120,3 +120,11 @@ def test_points_file_roundtrip(tmp_path):
         bad.write_text("\n".join(lines) + "\n")
         with pytest.raises(SpecParseError):
             read_points_file(str(bad))
+
+
+@pytest.mark.parametrize("row,message", [("1,0,x,0,0,0", "bad point entry"), ("1,0,3,0,0,0", "outside")])
+def test_points_file_bad_entry(tmp_path, row, message):
+    bad = tmp_path / "bad_entry.txt"
+    bad.write_text(f"# gf p=3 e=1 modulus=0,1\n# plucker l=2 m=4\n{row}\n")
+    with pytest.raises(SpecParseError, match=message):
+        read_points_file(str(bad))

@@ -10,9 +10,10 @@ from grasscode.linalg import (
     from_rows,
     identity,
     intersect_row_spaces,
-    iter_rref_batches,
     maximal_minors,
     row_space_equal,
+    rref_batch,
+    rref_chunks,
     solve_membership,
     vstack,
     zeros,
@@ -168,15 +169,20 @@ def test_vstack_and_mixed_field_errors():
     assert from_rows(F2, [], cols=4).shape == (0, 4)
 
 
-def test_iter_rref_batches_counts_subspaces():
-    # 2-dim subspaces of F_2^4: 35 canonical representatives
-    total = sum(batch.shape[0] for batch in iter_rref_batches(F2, 2, 4))
-    assert total == 35
-    seen = set()
-    for batch in iter_rref_batches(F2, 2, 4):
-        for mat in batch:
-            m = Mat(F2, mat)
-            assert m.rank() == 2
-            assert m.rref()[0] == m
-            seen.add(m.a.tobytes())
-    assert len(seen) == 35
+@pytest.mark.parametrize("field,r,k,total", [(F2, 2, 4, 35), (F3, 2, 4, 130), (F4, 1, 3, 21), (F3, 3, 5, 1210)])
+def test_rref_chunks_count_subspaces(field, r, k, total):
+    # every r-dim subspace of F_q^k once, in canonical order, whatever the chunk size
+    stacks = [
+        np.concatenate([rref_batch(field.q, k, *c) for c in rref_chunks(field.q, r, k, chunk)])
+        for chunk in (7, 4096)
+    ]
+    assert np.array_equal(stacks[0], stacks[1])
+    keys = []
+    for mat in stacks[0]:
+        m = Mat(field, mat)
+        echelon, rank, pivots = m.rref()
+        assert rank == r and echelon == m
+        # pivot sets in lex order, then the free entries as a row-major odometer
+        keys.append((pivots, tuple(mat.ravel().tolist())))
+    assert len(keys) == total
+    assert all(a < b for a, b in zip(keys, keys[1:]))
