@@ -193,13 +193,15 @@ def _parse_pairs(text: str) -> list[tuple[int, int]]:
 def cmd_verify(args) -> int:
     config = _resolve_config(args, need_field=False)
     try:
-        qs = _parse_int_list(args.q or "")
+        fields = [field_for_order(q) for q in _parse_int_list(args.q or "")]
         grassmann = _parse_pairs(args.grassmann or "")
         lagrangian = _parse_int_list(args.lagrangian_n or "")
     except ValueError as exc:
         raise SpecParseError(str(exc)) from exc
+    if any(n < 2 for n in lagrangian):
+        raise SpecParseError(f"--lagrangian-n values must be >= 2, got {args.lagrangian_n}")
     reports = run_suite(
-        qs,
+        fields,
         grassmann_pairs=grassmann,
         lagrangian_ns=lagrangian,
         budget_points=config.budget_points,

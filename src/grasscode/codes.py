@@ -48,14 +48,14 @@ class LinearCode:
 
 def build_code(system: ProjSystem) -> LinearCode:
     """Code of the projective system; columns follow the system's point order."""
-    if not system.points:
+    if not len(system):
         raise ValueError("empty projective system defines no code")
     pmat = system.point_matrix()
     gen = pmat.rref_basis()
     k = gen.rows
     if k != system.ambient_dim - pmat.left_kernel().rows:
         raise RuntimeError("rank/kernel mismatch in code construction")
-    return LinearCode(system.field, len(system.points), k, gen, provenance=system.source)
+    return LinearCode(system.field, len(system), k, gen, provenance=system.source)
 
 
 # -- scans over r-dimensional subcodes -------------------------------------------

@@ -8,6 +8,11 @@ bases (``linalg.maximal_minors``) and normalized so the first nonzero
 coordinate is 1.  For a canonical basis the first nonzero coordinate sits
 at the pivot tuple and already equals 1, so the enumeration order is also
 the canonical point order.
+
+A point set is one read-only ``(N, K)`` int64 array, K = C(m, l), rows in
+canonical order.  Enumerations write each batch into a single array
+allocated at the upstream point count (``stack_rows``), never into a
+list of tuples or of chunks.
 """
 
 from __future__ import annotations
@@ -21,41 +26,69 @@ from .field import GF, parse_field_header
 from .indices import enumerate_index_tuples, gaussian_binomial, index_positions
 from .linalg import Mat, maximal_minors, rref_batch, rref_chunks, zeros
 
-ProjPoint = tuple[int, ...]
-
 DEFAULT_POINT_BUDGET = 10**6
 
 
-@dataclass
+@dataclass(eq=False)
 class ProjSystem:
-    """A finite set of projective points plus the linear forms known to kill them."""
+    """A finite set of projective points plus the linear forms known to kill them.
+
+    ``points`` is a read-only (N, ambient_dim) int64 array, one point per
+    row; any array-like of rows is accepted and converted.
+    """
 
     field: GF
     ambient_dim: int
-    points: list[ProjPoint]
+    points: np.ndarray
     defining_forms: Mat
     ell: int | None = None
     m: int | None = None
     source: object = None
+
+    def __post_init__(self):
+        points = np.asarray(self.points, dtype=np.int64)
+        if points.size == 0:
+            points = points.reshape(0, self.ambient_dim)
+        if points.ndim != 2 or points.shape[1] != self.ambient_dim:
+            raise ValueError(f"points must have shape (N, {self.ambient_dim}), got {points.shape}")
+        # a read-only view, so the caller's array keeps its own flags
+        self.points = points.view()
+        self.points.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.points)
 
     def point_matrix(self) -> Mat:
         """ambient_dim x n matrix whose columns are the points, in order."""
-        arr = np.array(self.points, dtype=np.int64).reshape(len(self.points), self.ambient_dim)
-        return Mat(self.field, arr.T)
+        return Mat(self.field, self.points.T)
 
     def validate(self) -> None:
-        if len(set(self.points)) != len(self.points):
+        # each row as one fixed-size byte string; sorted, equal rows are adjacent
+        packed = np.ascontiguousarray(self.points, dtype=np.uint8 if self.field.q <= 256 else np.uint16)
+        rows = np.sort(packed.view(np.dtype((np.void, packed.itemsize * self.ambient_dim))).ravel())
+        if (rows[1:] == rows[:-1]).any():
             raise ValueError("duplicate points in projective system")
-        if self.defining_forms.rows and self.points:
+        if self.defining_forms.rows and len(self):
             prods = self.field.matmul(self.defining_forms.a, self.point_matrix().a)
             if prods.any():
                 raise ValueError("a defining form does not vanish on all points")
 
 
-def normalize_point(field: GF, coords) -> ProjPoint:
+def stack_rows(parts, capacity: int, width: int) -> np.ndarray:
+    """The row blocks of ``parts`` in order, written into one array allocated at ``capacity`` rows."""
+    out = np.empty((capacity, width), dtype=np.int64)
+    n = 0
+    for part in parts:
+        if n + len(part) > capacity:
+            raise RuntimeError(f"more than the expected {capacity} rows")
+        out[n : n + len(part)] = part
+        n += len(part)
+    # shrinks the buffer in place: nothing else refers to it yet
+    out.resize((n, width), refcheck=False)
+    return out
+
+
+def normalize_point(field: GF, coords) -> tuple[int, ...]:
     coords = [int(c) for c in coords]
     first = next((c for c in coords if c), None)
     if first is None:
@@ -66,7 +99,7 @@ def normalize_point(field: GF, coords) -> ProjPoint:
     return tuple(field.mul(c, scale) for c in coords)
 
 
-def plucker_embed(basis: Mat) -> ProjPoint:
+def plucker_embed(basis: Mat) -> tuple[int, ...]:
     """Normalized vector of maximal minors of a full-rank l x m basis."""
     if basis.rank() != basis.rows:
         raise ValueError("basis rows are linearly dependent")
@@ -89,12 +122,11 @@ def enumerate_grassmann_points(
     expected = gaussian_binomial(m, ell, field.q)
     if expected > budget:
         raise BudgetExceededError(f"G({ell},{m})(F_{field.q}) point count", expected, budget)
-    points: list[ProjPoint] = []
-    for _, _, coords in iter_grassmann_cells(ell, m, field):
-        points.extend(map(tuple, coords.tolist()))
+    ambient = len(enumerate_index_tuples(ell, m))
+    cells = iter_grassmann_cells(ell, m, field)
+    points = stack_rows((coords for _, _, coords in cells), expected, ambient)
     if len(points) != expected:
         raise RuntimeError(f"enumerated {len(points)} points of G({ell},{m}), expected {expected}")
-    ambient = len(enumerate_index_tuples(ell, m))
     return ProjSystem(field, ambient, points, zeros(field, 0, ambient), ell=ell, m=m)
 
 
@@ -137,8 +169,7 @@ def write_points_file(sys: ProjSystem, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(sys.field.header() + "\n")
         fh.write(f"# plucker l={sys.ell} m={sys.m}\n")
-        for point in sys.points:
-            fh.write(",".join(str(c) for c in point) + "\n")
+        np.savetxt(fh, sys.points, fmt="%d", delimiter=",")
 
 
 def read_points_file(path: str) -> ProjSystem:

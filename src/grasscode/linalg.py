@@ -124,9 +124,6 @@ class Mat:
         """Canonical basis (rows) of {x : self @ x^T = 0}."""
         return Mat(self.field, self.a.T).left_kernel()
 
-    def transpose(self) -> "Mat":
-        return Mat(self.field, self.a.T)
-
     def neg(self) -> "Mat":
         return Mat(self.field, self.field.neg_arr(self.a))
 
@@ -166,15 +163,6 @@ def identity(field: GF, n: int) -> Mat:
     return Mat(field, np.eye(n, dtype=np.int64))
 
 
-def from_rows(field: GF, rows, cols: int | None = None) -> Mat:
-    rows = list(rows)
-    if not rows:
-        if cols is None:
-            raise ValueError("empty matrix needs explicit column count")
-        return zeros(field, 0, cols)
-    return Mat(field, np.array(rows, dtype=np.int64))
-
-
 def vstack(mats: list[Mat]) -> Mat:
     field = mats[0].field
     for m in mats[1:]:
@@ -191,15 +179,6 @@ def row_space_equal(a: Mat, b: Mat) -> bool:
     if a.cols != b.cols:
         raise ValueError("column-count mismatch")
     return np.array_equal(a.rref_basis().a, b.rref_basis().a)
-
-
-def solve_membership(v, a: Mat) -> bool:
-    """True iff row vector v lies in the row space of a."""
-    varr = np.asarray(v, dtype=np.int64).reshape(1, -1)
-    if varr.shape[1] != a.cols:
-        raise ValueError("width mismatch")
-    stacked = Mat(a.field, np.concatenate([a.a, varr], axis=0))
-    return stacked.rank() == a.rank()
 
 
 def intersect_row_spaces(a: Mat, b: Mat) -> Mat:

@@ -8,9 +8,16 @@ Grassmannian.  Every enumerated system carries the linear forms known to
 vanish on it; ``verify_ffn`` checks that those forms span *all* linear
 forms vanishing on the rational points.
 
-Schubert membership is always computed twice, by Plücker-coordinate
-vanishing and by intersection dimensions against the standard flag
-span{e_1..e_t}; a disagreement raises immediately.
+Point sets are the (N, K) arrays of ``grassmann.ProjSystem``, filtered
+one batch of the Grassmannian stream at a time with array masks.
+
+Schubert membership is always computed twice on every batch: by
+Plücker-coordinate vanishing, and by the flag condition
+dim(W ∩ span{e_1..e_t}) >= i at t = lam_i, read off the jump positions
+that ``flag_cells`` finds by elimination on the bases themselves, never
+from the minors.  A disagreement raises immediately.  A point's Bruhat
+cell is the lex-last index in the support of its Plücker vector (Fulton,
+*Young Tableaux*, ch. 9), which is how ``cell_histogram`` counts cells.
 """
 
 from __future__ import annotations
@@ -22,16 +29,11 @@ import numpy as np
 
 from .errors import BudgetExceededError, SpecParseError
 from .field import GF
-from .grassmann import (
-    DEFAULT_POINT_BUDGET,
-    ProjSystem,
-    iter_grassmann_cells,
-    subspace_of_point,
-)
+from .grassmann import DEFAULT_POINT_BUDGET, ProjSystem, iter_grassmann_cells, stack_rows
 from .indices import (
     IndexTuple,
-    bruhat_leq,
     delete_pair,
+    downset,
     enumerate_index_tuples,
     format_tuple,
     gaussian_binomial,
@@ -193,12 +195,11 @@ def pi_forms(n: int, field: GF) -> Mat:
     One row per a_rs in I(n-2, 2n); the i-th summand lands on the sorted
     coordinate of (i, a_rs, 2n-i+1) when those n indices are distinct.  The
     coefficient is the sign of the sorting permutation of the written
-    sequence, which is 1 for every term in characteristic 2.
+    sequence, which is 1 for every term in characteristic 2.  For n = 1
+    there are no forms: every line of a symplectic plane is Lagrangian.
     """
-    if n < 2:
-        raise ValueError(f"pi_forms needs n >= 2, got {n}")
     m = 2 * n
-    rows = enumerate_index_tuples(n - 2, m)
+    rows = enumerate_index_tuples(n - 2, m) if n >= 2 else ()
     col_pos = index_positions(n, m)
     a = np.zeros((len(rows), len(col_pos)), dtype=np.int64)
     for ri, ars in enumerate(rows):
@@ -217,45 +218,45 @@ def pi_forms(n: int, field: GF) -> Mat:
 
 def schubert_member_plucker(coords, lam: IndexTuple, ell: int, m: int) -> bool:
     """Vanishing of every coordinate whose index is not Bruhat-below lam."""
-    pos = index_positions(ell, m)
-    return all(
-        coords[pos[beta]] == 0
-        for beta in enumerate_index_tuples(ell, m)
-        if not bruhat_leq(beta, lam)
-    )
+    return not any(coords[i] for i in _non_downset_positions([lam], ell, m))
 
 
-def schubert_member_flag(basis: Mat, lam: IndexTuple) -> bool:
-    """Intersection-dimension conditions dim(W ∩ span{e_1..e_t}) >= i at t = lam_i."""
-    ell = basis.rows
-    for i, t in enumerate(lam, start=1):
-        tail = Mat(basis.field, basis.a[:, t:])
-        if ell - tail.rank() < i:
-            return False
-    return True
+def flag_cells(field: GF, bases: np.ndarray) -> np.ndarray:
+    """(N, l) positions t where dim(W ∩ span{e_1..e_t}) jumps, for an (N, l, m) stack of bases.
 
-
-def bruhat_cell_of(basis: Mat) -> IndexTuple:
-    """The cell index: positions where dim(W ∩ span{e_1..e_t}) jumps."""
-    ell, m = basis.shape
-    jumps = []
-    prev = 0
-    for t in range(1, m + 1):
-        tail = Mat(basis.field, basis.a[:, t:])
-        dim = ell - tail.rank()
-        if dim > prev:
-            jumps.append(t)
-            prev = dim
-    return tuple(jumps)
+    Fraction-free elimination from the last column: the first row still
+    free with a nonzero entry in column c becomes that column's pivot and
+    clears column c from the other free rows.  Free rows stay zero right
+    of the current column, so the pivot columns are the last nonzero
+    columns of an echelon basis, and W ∩ span{e_1..e_t} is spanned by
+    the rows whose pivot is at most t.
+    """
+    a = np.array(bases)
+    n, ell, m = a.shape
+    rows = np.arange(n)
+    free = np.ones((n, ell), dtype=bool)
+    pivot = np.zeros((n, m), dtype=bool)
+    for c in range(m - 1, -1, -1):
+        col = a[:, :, c]
+        cand = free & (col != 0)
+        found = cand.any(axis=1)
+        piv = cand.argmax(axis=1)
+        scale = np.where(found, col[rows, piv], 1)
+        # row <- scale * row - row[c] * pivot row; free rows with row[c] = 0 only scale
+        a = field.sub_arr(
+            field.mul_arr(scale[:, None, None], a),
+            field.mul_arr(col[:, :, None], a[rows, piv][:, None, :]),
+        )
+        free[rows[found], piv[found]] = False
+        pivot[:, c] = found
+    if (pivot.sum(axis=1) != ell).any():
+        raise ValueError("basis rows are linearly dependent")
+    return np.nonzero(pivot)[1].reshape(n, ell) + 1
 
 
 def _non_downset_positions(lams, ell: int, m: int) -> list[int]:
-    pos = index_positions(ell, m)
-    return [
-        pos[beta]
-        for beta in enumerate_index_tuples(ell, m)
-        if not any(bruhat_leq(beta, lam) for lam in lams)
-    ]
+    below = {beta for lam in lams for beta in downset(lam, m)}
+    return [i for i, beta in enumerate(enumerate_index_tuples(ell, m)) if beta not in below]
 
 
 def _coordinate_forms(field: GF, positions, ambient: int) -> Mat:
@@ -298,34 +299,25 @@ def _defining_forms(spec: VarietySpec, field: GF) -> Mat:
 
 
 def _schubert_mask(spec, field, bases, coords) -> np.ndarray:
-    """Union-of-Schubert membership, double-checked per point and per cell."""
-    pos = index_positions(spec.ell, spec.m)
+    """Union-of-Schubert membership by Plücker vanishing, checked against the flag cells."""
+    cells = flag_cells(field, bases)
     member = np.zeros(coords.shape[0], dtype=bool)
     for lam in spec.tuples:
-        bad = _non_downset_positions([lam], spec.ell, spec.m)
-        mask = ~coords[:, bad].any(axis=1) if bad else np.ones(coords.shape[0], dtype=bool)
-        for i in range(coords.shape[0]):
-            flag = schubert_member_flag(Mat(field, bases[i]), lam)
-            if flag != bool(mask[i]):
-                raise RuntimeError(
-                    f"Schubert membership oracles disagree at lam={lam}, point {i}"
-                )
+        mask = ~coords[:, _non_downset_positions([lam], spec.ell, spec.m)].any(axis=1)
+        wrong = np.flatnonzero(mask != (cells <= lam).all(axis=1))
+        if wrong.size:
+            raise RuntimeError(
+                f"Schubert membership oracles disagree at lam={lam}, point {wrong[0]}"
+            )
         member |= mask
     return member
 
 
-def enumerate_variety(
-    spec: VarietySpec, field: GF, budget: int = DEFAULT_POINT_BUDGET
-) -> ProjSystem:
-    """Filter the Grassmannian point stream by the kind's membership predicate."""
-    ell, m = spec.ell, spec.m
-    upstream = gaussian_binomial(m, ell, field.q)
-    if upstream > budget:
-        raise BudgetExceededError(f"G({ell},{m})(F_{field.q}) point count", upstream, budget)
+def _kept(spec: VarietySpec, field: GF):
+    """The points of each batch of the Grassmannian stream that lie on the variety."""
     form = symplectic_form(spec.n, field) if spec.kind in SYMPLECTIC_KINDS else None
-    pos = index_positions(ell, m)
-    points = []
-    for _, bases, coords in iter_grassmann_cells(ell, m, field):
+    pos = index_positions(spec.ell, spec.m)
+    for _, bases, coords in iter_grassmann_cells(spec.ell, spec.m, field):
         if spec.kind == "grassmann":
             mask = np.ones(coords.shape[0], dtype=bool)
         elif spec.kind == "elambda":
@@ -340,11 +332,22 @@ def enumerate_variety(
             mask &= _schubert_mask(spec, field, bases, coords)
         else:
             raise ValueError(f"unknown kind {spec.kind!r}")
-        points.extend(map(tuple, coords[mask].tolist()))
+        yield coords[mask]
+
+
+def enumerate_variety(
+    spec: VarietySpec, field: GF, budget: int = DEFAULT_POINT_BUDGET
+) -> ProjSystem:
+    """Filter the Grassmannian point stream by the kind's membership predicate."""
+    ell, m = spec.ell, spec.m
+    upstream = gaussian_binomial(m, ell, field.q)
+    if upstream > budget:
+        raise BudgetExceededError(f"G({ell},{m})(F_{field.q}) point count", upstream, budget)
+    ambient = len(enumerate_index_tuples(ell, m))
     system = ProjSystem(
         field,
-        len(pos),
-        points,
+        ambient,
+        stack_rows(_kept(spec, field), upstream, ambient),
         _defining_forms(spec, field),
         ell=ell,
         m=m,
@@ -359,7 +362,7 @@ def enumerate_variety(
 
 def linear_hull(system: ProjSystem) -> tuple[int, Mat]:
     """Vector dimension of the span of the points, and the forms cutting it out."""
-    if not system.points:
+    if not len(system):
         raise ValueError("empty projective system has no hull")
     forms = system.point_matrix().left_kernel()
     return system.ambient_dim - forms.rows, forms
@@ -367,7 +370,7 @@ def linear_hull(system: ProjSystem) -> tuple[int, Mat]:
 
 def verify_ffn(system: ProjSystem) -> bool:
     """True iff the declared forms span every linear form vanishing on the points."""
-    if not system.points:
+    if not len(system):
         raise ValueError("empty projective system")
     kernel = system.point_matrix().left_kernel()
     return np.array_equal(kernel.a, system.defining_forms.rref_basis().a)
@@ -390,13 +393,7 @@ def isotropic_count(ell: int, n: int, q: int) -> int:
 
 def schubert_union_count(lams, m: int, q: int) -> int:
     """Cell sum over the union of the Bruhat down-sets of the given tuples."""
-    lams = [tuple(lam) for lam in lams]
-    ell = len(lams[0])
-    cells = {
-        beta
-        for beta in enumerate_index_tuples(ell, m)
-        if any(bruhat_leq(beta, lam) for lam in lams)
-    }
+    cells = {beta for lam in lams for beta in downset(tuple(lam), m)}
     return sum(q ** schubert_cell_dimension(beta) for beta in cells)
 
 
@@ -405,13 +402,15 @@ def schubert_count(lam, m: int, q: int) -> int:
 
 
 def cell_histogram(system: ProjSystem) -> dict[IndexTuple, int]:
-    """Point count of each Bruhat cell met by the system."""
-    out: dict[IndexTuple, int] = {}
-    for point in system.points:
-        basis = subspace_of_point(point, system.ell, system.m, system.field)
-        gamma = bruhat_cell_of(basis)
-        out[gamma] = out.get(gamma, 0) + 1
-    return dict(sorted(out.items()))
+    """Point count of each Bruhat cell met by the system.
+
+    A point's cell is the index of its last nonzero Plücker coordinate;
+    positions ascend with the lexicographic index order.
+    """
+    last = system.ambient_dim - 1 - (system.points[:, ::-1] != 0).argmax(axis=1)
+    positions, counts = np.unique(last, return_counts=True)
+    tuples = enumerate_index_tuples(system.ell, system.m)
+    return {tuples[p]: c for p, c in zip(positions.tolist(), counts.tolist())}
 
 
 def combinatorial_dimension(system: ProjSystem) -> int:

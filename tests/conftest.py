@@ -2,6 +2,7 @@ from functools import lru_cache
 from itertools import product
 
 from grasscode.field import make_field
+from grasscode.linalg import Mat
 from grasscode.sections import enumerate_variety, parse_variety_spec
 
 
@@ -14,6 +15,38 @@ def field(p, e=1):
 def variety(spec_str, p, e=1):
     """Cached enumeration; callers must treat the result as read-only."""
     return enumerate_variety(parse_variety_spec(spec_str), field(p, e))
+
+
+def point_set(system):
+    """The points of a system as a set of tuples."""
+    return set(map(tuple, system.points.tolist()))
+
+
+# -- per-point references for the batched flag oracle (sections.flag_cells) ----
+
+
+def schubert_member_flag(basis, lam):
+    """Intersection-dimension conditions dim(W ∩ span{e_1..e_t}) >= i at t = lam_i, one rank each."""
+    ell = basis.rows
+    for i, t in enumerate(lam, start=1):
+        tail = Mat(basis.field, basis.a[:, t:])
+        if ell - tail.rank() < i:
+            return False
+    return True
+
+
+def bruhat_cell_of(basis):
+    """The cell index: positions where dim(W ∩ span{e_1..e_t}) jumps, one rank per t."""
+    ell, m = basis.shape
+    jumps = []
+    prev = 0
+    for t in range(1, m + 1):
+        tail = Mat(basis.field, basis.a[:, t:])
+        dim = ell - tail.rank()
+        if dim > prev:
+            jumps.append(t)
+            prev = dim
+    return tuple(jumps)
 
 
 def dr_reference(code, r):

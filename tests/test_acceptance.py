@@ -7,7 +7,7 @@ import json
 import random
 from itertools import combinations
 
-from conftest import dr_reference, field, variety
+from conftest import dr_reference, field, point_set, schubert_member_flag, variety
 from grasscode.bounds import (
     close_family_section_bound,
     grassmann_dr_cap_check,
@@ -36,7 +36,6 @@ from grasscode.sections import (
     linear_hull,
     pi_forms,
     schubert_count,
-    schubert_member_flag,
     schubert_member_plucker,
     schubert_union_count,
     verify_ffn,
@@ -64,10 +63,10 @@ def test_criterion_01_grassmann_point_counts():
         f = field_for_order(q)
         for m in range(1, 6):
             for ell in range(1, m + 1):
-                points = enumerate_grassmann_points(ell, m, f).points
+                system = enumerate_grassmann_points(ell, m, f)
                 expected = gaussian_binomial(m, ell, q)
-                if len(points) != expected or len(set(points)) != expected:
-                    problems.append((ell, m, q, len(points), expected))
+                if len(system) != expected or len(point_set(system)) != expected:
+                    problems.append((ell, m, q, len(system), expected))
     check("criterion-1", "|G(l,m)(F_q)| matches the Gaussian binomial on the full grid", problems)
 
 
@@ -184,7 +183,7 @@ def test_criterion_09_schubert_unions():
                 + ",".join(map(str, lam2))
             )
             system = variety(spec, q)
-            if len(set(system.points)) != len(system.points):
+            if len(point_set(system)) != len(system.points):
                 problems.append(("dup", q, lam1, lam2))
             if len(system.points) != schubert_union_count([lam1, lam2], 4, q):
                 problems.append(("count", q, lam1, lam2, len(system.points)))
@@ -237,7 +236,7 @@ def test_criterion_11_cap_check_disputed():
         problems.append(("r3-not-disputed",))
     if reports[3].holds is None:
         problems.append(("r3-not-recorded",))
-    suite = run_suite([2], lagrangian_ns=[2])
+    suite = run_suite([field(2)], lagrangian_ns=[2])
     hard_failures = [r.claim for r in suite if r.holds is False and not r.disputed]
     if hard_failures:
         problems.append(("suite", hard_failures))

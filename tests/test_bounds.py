@@ -176,7 +176,7 @@ def test_mindist_bound_checks():
 
 
 def test_run_suite_small_grid():
-    reports = run_suite([2], grassmann_pairs=[(2, 4)], lagrangian_ns=[2])
+    reports = run_suite([field(2)], grassmann_pairs=[(2, 4)], lagrangian_ns=[2])
     assert reports == sorted(reports, key=lambda rep: rep.claim)
     failures = [r for r in reports if r.holds is False and not r.disputed]
     assert failures == []

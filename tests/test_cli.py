@@ -38,6 +38,14 @@ def test_count_lag_schubert_reports_cellsum(capsys):
     assert out.strip() == "count=7 formula=none agree=true cellsum=19"
 
 
+def test_count_symplectic_plane(capsys):
+    # n = 1: no coordinate-sum forms, every line of the plane is Lagrangian
+    code, out, _ = run_cli(capsys, "count", "lagrangian:1", "--q", "2")
+    assert code == EXIT_OK and out.strip() == "count=3 formula=3 agree=true"
+    code, out, _ = run_cli(capsys, "count", "lag-schubert:1:1", "--q", "3")
+    assert code == EXIT_OK and out.strip() == "count=1 formula=none agree=true cellsum=1"
+
+
 def test_count_json(capsys):
     code, out, _ = run_cli(capsys, "count", "lagrangian:2", "--q", "3", "--json")
     assert code == EXIT_OK
@@ -217,6 +225,21 @@ def test_verify_small_grid(tmp_path, capsys):
     assert all(r.get("disputed") for r in failing)
 
 
+def test_verify_bad_grid_values(capsys):
+    for argv in (("--lagrangian-n", "1"), ("--q", "6"), ("--q", "2", "--lagrangian-n", "2,0")):
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == EXIT_PARSE and out == "" and err.startswith("error: ")
+
+
+def test_verify_empty_close_family_section(capsys):
+    for pair in ("1,2", "1,3", "2,3"):
+        code, out, _ = run_cli(capsys, "verify", "--q", "2", "--grassmann", pair)
+        assert code == EXIT_OK
+        empty = [r for r in json.loads(out)["reports"] if r.get("note") == "degenerate: empty section"]
+        assert any(r["claim"].startswith("elambda-ffn[") for r in empty)
+        assert all(r["holds"] is None and r["lhs"] is None for r in empty)
+
+
 def test_verify_empty_grid(capsys):
     code, out, _ = run_cli(capsys, "verify")
     assert code == EXIT_OK
@@ -292,3 +315,63 @@ def test_mutated_point_files_parse_or_raise_parse_error(tmp_path_factory, edits)
     except SpecParseError:
         return
     assert all(len(point) == system.ambient_dim for point in system.points)
+
+
+# -- the exit-code contract under generated variety specs and verify grids ----
+
+CLEAN_EXITS = (EXIT_OK, EXIT_PARSE, EXIT_BUDGET, EXIT_VERIFY)
+
+
+def _quiet_main(argv):
+    """Exit code of a CLI run, argparse's own usage errors (SystemExit) included."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+SMALL_INT = st.integers(-1, 5).map(str)
+INDEX_TUPLES = st.lists(st.lists(SMALL_INT, min_size=1, max_size=3).map(",".join), min_size=1, max_size=2)
+SPEC_SHAPES = {
+    "grassmann": "{a},{b}",
+    "schubert": "{a},{b}:{t}",
+    "union": "{a},{b}:{t}",
+    "elambda": "{a},{b}:{t}",
+    "lagrangian": "{a}",
+    "isotropic": "{a},{b}",
+    "lag-schubert": "{a}:{t}",
+    "lag-union": "{a}:{t}",
+}
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(
+    kind=st.sampled_from(sorted(SPEC_SHAPES)),
+    a=SMALL_INT,
+    b=SMALL_INT,
+    tuples=INDEX_TUPLES.map(";".join),
+    at=st.integers(0, 30),
+    junk=st.one_of(st.just(""), st.sampled_from([":", ",", ";", "x"])),
+    q=st.sampled_from(["2", "3", "4", "6", "1", "0", "x", "65537"]),
+)
+def test_generated_specs_exit_cleanly(kind, a, b, tuples, at, junk, q):
+    # a spec of the kind's shape with small, possibly invalid numbers, and maybe one stray character
+    text = f"{kind}:" + SPEC_SHAPES[kind].format(a=a, b=b, t=tuples)
+    argv = ["count", text[:at] + junk + text[at:], "--q", q, "--budget-points", "3000"]
+    assert _quiet_main(argv) in CLEAN_EXITS
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(
+    qs=st.lists(st.integers(0, 9), max_size=2),
+    pairs=st.lists(st.tuples(st.integers(1, 3), st.integers(0, 3)), max_size=2),
+    ns=st.lists(st.integers(0, 2), max_size=2),
+    junk=st.one_of(st.just(""), st.sampled_from([",", ";", "x"])),
+    where=st.integers(0, 2),
+)
+def test_generated_verify_grids_exit_cleanly(qs, pairs, ns, junk, where):
+    values = [",".join(map(str, qs)), ";".join(f"{a},{b}" for a, b in pairs), ",".join(map(str, ns))]
+    values[where] += junk
+    argv = ["verify", "--q", values[0], "--grassmann", values[1], "--lagrangian-n", values[2]]
+    assert _quiet_main(argv + ["--budget-points", "3000", "--budget-scans", "5000"]) in CLEAN_EXITS

@@ -1,5 +1,6 @@
 import json
 import random
+from math import comb
 
 import pytest
 
@@ -120,6 +121,37 @@ def test_weight_chain_monotone_and_singleton(spec, q):
     assert all(a < b for a, b in zip(chain, chain[1:]))
     assert all(dr <= code.n - code.k + r for r, dr in enumerate(chain, start=1))
     assert chain[-1] == code.n  # no identically-zero position
+
+
+@pytest.mark.parametrize(
+    "spec,q",
+    [
+        ("grassmann:2,4", 2),
+        ("grassmann:2,4", 3),
+        ("schubert:2,5:2,5", 2),
+        ("schubert:2,4:2,4", 3),
+        ("lagrangian:3", 2),
+        ("lagrangian:2", 3),
+        ("isotropic:2,3", 2),
+        ("isotropic:1,2", 3),
+    ],
+)
+def test_macwilliams_dual_distribution(spec, q):
+    # B_j = q^-k sum_i A_i K_j(i) counts dual codewords of weight j; a
+    # projective system has no zero column (B_1 = 0) and no two
+    # proportional columns (B_2 = 0)
+    code = build_code(variety(spec, q))
+    enum, n = weight_enumerator(code), code.n
+    dual = []
+    for j in range(n + 1):
+        total = sum(
+            a * sum((-1) ** s * (q - 1) ** (j - s) * comb(i, s) * comb(n - i, j - s) for s in range(j + 1))
+            for i, a in enum.items()
+        )
+        assert total >= 0 and total % q**code.k == 0
+        dual.append(total // q**code.k)
+    assert dual[:3] == [1, 0, 0]
+    assert sum(dual) == q ** (n - code.k)
 
 
 def test_scale_invariance():

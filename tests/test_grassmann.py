@@ -3,9 +3,10 @@ import random
 import numpy as np
 import pytest
 
-from conftest import field
+from conftest import field, point_set
 from grasscode.errors import BudgetExceededError, SpecParseError
 from grasscode.grassmann import (
+    ProjSystem,
     enumerate_grassmann_points,
     plucker_embed,
     read_points_file,
@@ -13,7 +14,7 @@ from grasscode.grassmann import (
     write_points_file,
 )
 from grasscode.indices import gaussian_binomial
-from grasscode.linalg import Mat
+from grasscode.linalg import Mat, zeros
 
 
 def test_plucker_examples():
@@ -59,8 +60,26 @@ def test_counts_injectivity_nondegeneracy(m, q):
         system = enumerate_grassmann_points(ell, m, f)
         expected = gaussian_binomial(m, ell, q)
         assert len(system.points) == expected
-        assert len(set(system.points)) == expected
+        assert len(point_set(system)) == expected
         assert system.point_matrix().left_kernel().rows == 0
+
+
+def test_points_are_one_read_only_array():
+    f3 = field(3)
+    system = enumerate_grassmann_points(2, 4, f3)
+    assert system.points.shape == (130, 6) and system.points.dtype == np.int64
+    with pytest.raises(ValueError):
+        system.points[0, 0] = 2
+    # lists of rows are converted; the caller's array stays writable
+    rows = system.points[:2].copy()
+    built = ProjSystem(f3, 6, rows, zeros(f3, 0, 6))
+    assert not built.points.flags.writeable and rows.flags.writeable
+    assert ProjSystem(f3, 6, rows.tolist(), zeros(f3, 0, 6)).points.shape == (2, 6)
+    assert ProjSystem(f3, 6, [], zeros(f3, 0, 6)).points.shape == (0, 6)
+    with pytest.raises(ValueError):
+        ProjSystem(f3, 6, [(1, 0, 0)], zeros(f3, 0, 6))
+    with pytest.raises(ValueError, match="duplicate"):
+        ProjSystem(f3, 6, system.points[[0, 5, 0]], zeros(f3, 0, 6)).validate()
 
 
 def test_projective_line_example():
@@ -74,14 +93,14 @@ def test_roundtrip_g24_f2():
     for point in system.points:
         basis = subspace_of_point(point, 2, 4, f2)
         assert basis.rref()[0] == basis
-        assert plucker_embed(basis) == point
+        assert plucker_embed(basis) == tuple(point)
 
 
 def test_roundtrip_g13_f3():
     f3 = field(3)
     system = enumerate_grassmann_points(1, 3, f3)
     for point in system.points:
-        assert plucker_embed(subspace_of_point(point, 1, 3, f3)) == point
+        assert plucker_embed(subspace_of_point(point, 1, 3, f3)) == tuple(point)
 
 
 def test_subspace_of_point_rejects_non_points():
@@ -107,7 +126,10 @@ def test_points_file_roundtrip(tmp_path):
     assert text[1] == "# plucker l=2 m=4"
     back = read_points_file(str(path))
     assert back.field == f3
-    assert back.points == system.points
+    assert np.array_equal(back.points, system.points)
+    again = tmp_path / "again.txt"
+    write_points_file(back, str(again))
+    assert again.read_bytes() == path.read_bytes()
 
     with pytest.raises(SpecParseError):
         bad = tmp_path / "bad.txt"

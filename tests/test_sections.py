@@ -1,17 +1,21 @@
+from collections import Counter
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from conftest import field, variety
+import grasscode.grassmann as grassmann
+from conftest import bruhat_cell_of, field, point_set, schubert_member_flag, variety
 from grasscode.errors import SpecParseError
 from grasscode.grassmann import ProjSystem, subspace_of_point
 from grasscode.indices import enumerate_index_tuples, index_positions
-from grasscode.linalg import Mat, row_space_equal, zeros
+from grasscode.linalg import Mat, maximal_minors, row_space_equal, rref_batch, rref_free_positions, zeros
 from grasscode.sections import (
-    bruhat_cell_of,
     cell_histogram,
     combinatorial_dimension,
     contraction_matrix,
     enumerate_variety,
+    flag_cells,
     is_isotropic,
     isotropic_count,
     lagrangian_count,
@@ -20,7 +24,6 @@ from grasscode.sections import (
     parse_variety_spec,
     pi_forms,
     schubert_count,
-    schubert_member_flag,
     schubert_member_plucker,
     schubert_union_count,
     symplectic_form,
@@ -132,9 +135,7 @@ def test_isotropic_counts_and_lagrangian_match(n, q):
     for ell in range(1, n + 1):
         system = variety(f"isotropic:{ell},{n}", q)
         assert len(system.points) == isotropic_count(ell, n, q)
-    assert set(variety(f"isotropic:{n},{n}", q).points) == set(
-        variety(f"lagrangian:{n}", q).points
-    )
+    assert point_set(variety(f"isotropic:{n},{n}", q)) == point_set(variety(f"lagrangian:{n}", q))
 
 
 def test_isotropic_form_count_matches_codimension():
@@ -180,7 +181,7 @@ def test_schubert_union_counts(q):
     for lam1, lam2 in combinations(tuples, 2):
         spec = f"union:2,4:{','.join(map(str, lam1))};{','.join(map(str, lam2))}"
         system = variety(spec, q)
-        assert len(set(system.points)) == len(system.points)
+        assert len(point_set(system)) == len(system.points)
         assert len(system.points) == schubert_union_count([lam1, lam2], 4, q)
 
 
@@ -238,27 +239,27 @@ def test_lag_schubert():
     # Lagrangian with 1 + 2 + 4 points; cells (1,4) and (2,3) never do
     system = variety("lag-schubert:2:2,4", 2)
     assert len(system.points) == 7
-    lag = set(variety("lagrangian:2", 2).points)
-    sch = set(variety("schubert:2,4:2,4", 2).points)
-    assert set(system.points) == lag & sch
+    lag = point_set(variety("lagrangian:2", 2))
+    sch = point_set(variety("schubert:2,4:2,4", 2))
+    assert point_set(system) == lag & sch
     assert combinatorial_dimension(system) == 2
 
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_lag_schubert_is_lagrangian_cap_schubert(q):
-    lag = set(variety("lagrangian:2", q).points)
+    lag = point_set(variety("lagrangian:2", q))
     for lam in enumerate_index_tuples(2, 4):
         lam_str = ",".join(map(str, lam))
-        got = set(variety(f"lag-schubert:2:{lam_str}", q).points)
-        sch = set(variety(f"schubert:2,4:{lam_str}", q).points)
+        got = point_set(variety(f"lag-schubert:2:{lam_str}", q))
+        sch = point_set(variety(f"schubert:2,4:{lam_str}", q))
         assert got == lag & sch
 
 
 def test_lag_union_is_set_union():
     union = variety("lag-union:2:2,4;1,4", 2)
-    a = set(variety("lag-schubert:2:2,4", 2).points)
-    b = set(variety("lag-schubert:2:1,4", 2).points)
-    assert set(union.points) == a | b
+    a = point_set(variety("lag-schubert:2:2,4", 2))
+    b = point_set(variety("lag-schubert:2:1,4", 2))
+    assert point_set(union) == a | b
     # every declared form vanishes on the union (validated at build time too)
     prods = union.field.matmul(union.defining_forms.a, union.point_matrix().a)
     assert not prods.any()
@@ -274,10 +275,61 @@ def test_lagrangian_cell_histogram(q):
 
 def test_bruhat_cell_of_matches_pivots():
     f2 = field(2)
-    basis = Mat(f2, [[1, 0, 0, 0], [0, 1, 0, 0]])
-    assert bruhat_cell_of(basis) == (1, 2)
-    basis = Mat(f2, [[1, 1, 0, 0], [0, 0, 1, 1]])
-    assert bruhat_cell_of(basis) == (2, 4)
+    for rows, cell in (([[1, 0, 0, 0], [0, 1, 0, 0]], (1, 2)), ([[1, 1, 0, 0], [0, 0, 1, 1]], (2, 4))):
+        assert bruhat_cell_of(Mat(f2, rows)) == cell
+        assert flag_cells(f2, np.array([rows])).tolist() == [list(cell)]
+
+
+# one Grassmannian per field class: prime, 2^e, odd p^e <= 256, above 256
+FIELD_CLASSES = [(2, 4, 2, 1), (3, 5, 3, 1), (2, 4, 2, 2), (3, 6, 2, 3), (2, 4, 3, 2), (2, 4, 17, 2), (2, 5, 2, 9)]
+
+
+@pytest.mark.parametrize("ell,m,p,e", FIELD_CLASSES)
+def test_flag_cells_match_per_point_reference(ell, m, p, e):
+    # the first 64 canonical bases of every pivot set; all of them for the smaller fields
+    f = field(p, e)
+    tuples = enumerate_index_tuples(ell, m)
+    for pivots in combinations(range(m), ell):
+        bases = rref_batch(f.q, m, pivots, 0, min(64, f.q ** len(rref_free_positions(pivots, m))))
+        cells = flag_cells(f, bases)
+        last = [max(np.flatnonzero(row)) for row in maximal_minors(f, bases)]
+        for basis, cell, pos in zip(bases, cells.tolist(), last):
+            assert tuple(cell) == bruhat_cell_of(Mat(f, basis)) == tuples[pos]
+
+
+def test_flag_cells_reject_dependent_rows():
+    with pytest.raises(ValueError):
+        flag_cells(field(3), np.array([[[1, 2, 0], [2, 1, 0]]]))
+
+
+@pytest.mark.parametrize(
+    "spec,p,e",
+    [("grassmann:2,4", 2, 1), ("lag-union:2:2,4;1,4", 3, 1), ("grassmann:2,4", 2, 2), ("grassmann:2,3", 3, 2), ("grassmann:1,2", 17, 2)],
+)
+def test_cell_histogram_matches_flag_reference(spec, p, e):
+    system = variety(spec, p, e)
+    reference = Counter(
+        bruhat_cell_of(subspace_of_point(point, system.ell, system.m, system.field))
+        for point in system.points
+    )
+    assert cell_histogram(system) == dict(sorted(reference.items()))
+
+
+@pytest.mark.parametrize("spec", ["schubert:2,4:2,4", "union:2,4:2,4;1,4", "lag-schubert:2:2,4", "lag-union:2:2,4;1,4"])
+def test_flag_oracle_catches_corrupted_minors(monkeypatch, spec):
+    # p_34 = 1 on the first point, span{e_1, e_2}: outside every Schubert
+    # variety above by Plücker vanishing, inside all of them by its flag
+    minors = grassmann.maximal_minors
+
+    def corrupted(f, bases):
+        out = minors(f, bases)
+        out[0, -1] = 1
+        return out
+
+    enumerate_variety(parse_variety_spec(spec), field(2))
+    monkeypatch.setattr(grassmann, "maximal_minors", corrupted)
+    with pytest.raises(RuntimeError, match="oracles disagree"):
+        enumerate_variety(parse_variety_spec(spec), field(2))
 
 
 def test_defining_forms_annihilate_points():
@@ -290,6 +342,6 @@ def test_defining_forms_annihilate_points():
         ("lag-schubert:2:2,4", 3),
     ]:
         system = variety(spec, q)
-        if system.defining_forms.rows and system.points:
+        if system.defining_forms.rows and len(system):
             prods = system.field.matmul(system.defining_forms.a, system.point_matrix().a)
             assert not prods.any()
