@@ -200,6 +200,8 @@ def cmd_verify(args) -> int:
         raise SpecParseError(str(exc)) from exc
     if any(n < 2 for n in lagrangian):
         raise SpecParseError(f"--lagrangian-n values must be >= 2, got {args.lagrangian_n}")
+    for ell, m in grassmann:
+        parse_variety_spec(f"grassmann:{ell},{m}")
     reports = run_suite(
         fields,
         grassmann_pairs=grassmann,

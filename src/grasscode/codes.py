@@ -1,20 +1,32 @@
 """Linear codes from projective systems and their exhaustive invariants.
 
 The code of a system is the row space of the matrix whose columns are the
-points; the generator is canonicalized by rref.  Every invariant is one
-exhaustive scan over r-dimensional subcodes, walked as canonical rref
-bases in the order of ``linalg.rref_chunks`` (for r = 1, one normalized
-message per projective class of codewords).  A scan multiplies each chunk
-of bases by the generator and reduces the products: ``d_r`` is the least
-support size of an r-dim subcode (Wei 1991), ``d`` and the weight
-enumerator come from the r = 1 supports, and the hyperplane route to ``d``
-is n minus the largest zero count.  Chunks are fixed and contiguous, so
-results are identical for any worker count.
+points; the generator is canonicalized by rref.  Every scan walks
+r-dimensional subcodes as canonical rref bases in the order of
+``linalg.rref_chunks``, in fixed contiguous chunks, so results are
+identical for any worker count.
+
+For r = 1 there is one normalized message per projective class of
+codewords, and one pass over them (memoized on the ``LinearCode``)
+gives the tally of class weights, hence ``d``, ``d_1`` and the weight
+enumerator, and while it fits in ``TABLE_BYTES`` a table of packed
+support bitmasks, one row per class in canonical order.  The support of
+a subcode is the union of the supports of its basis rows (Wei 1991), and
+each row of a canonical rref basis is itself a normalized message, so
+``d_r`` for 2 <= r < k is the least popcount of the OR of r table rows:
+no field products.  Without a table, and for r = k (one subcode, where a
+table would cost the whole r = 1 pass), the subcodes' bases are
+multiplied by the generator instead.  The subcode attaining ``d_r``
+(r < k) is rebuilt from its codewords with ``field.matmul`` and checked
+against sum_{c in D} wt(c) = (q^r - q^(r-1)) |supp D|, and
+``weight_profile`` checks that the MacWilliams transform of the
+enumerator is a distribution.  The hyperplane route to ``d`` is n minus
+the largest zero count of its own r = 1 scan.
 """
 
 from __future__ import annotations
 
-from collections import Counter
+import dataclasses
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -27,7 +39,9 @@ from .indices import gaussian_binomial
 from .linalg import Mat, rref_batch, rref_chunks
 
 DEFAULT_SCAN_BUDGET = 1 << 26
-CHUNK = 4096
+CHUNK = 1024
+# largest support table kept; over it, r >= 2 falls back to products with G
+TABLE_BYTES = 1 << 27
 
 
 @dataclass
@@ -37,6 +51,9 @@ class LinearCode:
     k: int
     generator: Mat
     provenance: object = None
+    _class_memo: _Classes | None = dataclasses.field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def source_string(self) -> str:
         if self.provenance is None:
@@ -61,14 +78,12 @@ def build_code(system: ProjSystem) -> LinearCode:
 # -- scans over r-dimensional subcodes -------------------------------------------
 
 
-def _scan(code: LinearCode, r: int, reduce, workers: int) -> list:
-    """reduce(words) per chunk of r-dim subcodes, words the (N, r, n) products of their bases and G."""
+def _scan(code: LinearCode, r: int, work, workers: int) -> list:
+    """work(bases) per chunk of r-dim subcodes, bases the (N, r, k) canonical rref stack."""
     q, k = code.field.q, code.k
-    gen_arr = code.generator.a
 
     def run(chunk):
-        pivots, start, stop = chunk
-        return reduce(code.field.matmul(rref_batch(q, k, pivots, start, stop), gen_arr))
+        return work(rref_batch(q, k, *chunk))
 
     chunks = rref_chunks(q, r, k, CHUNK)
     if workers <= 1:
@@ -77,13 +92,68 @@ def _scan(code: LinearCode, r: int, reduce, workers: int) -> list:
         return list(pool.map(run, chunks))
 
 
-def _supports(words: np.ndarray) -> np.ndarray:
-    """Support size of each subcode of an (N, r, n) stack: columns where some row is nonzero."""
-    return (words != 0).any(axis=1).sum(axis=1)
+def _words(code: LinearCode, bases: np.ndarray) -> np.ndarray:
+    """(N, r, n) codewords of the rows of an (N, r, k) stack of messages."""
+    return code.field.matmul(bases, code.generator.a)
 
 
-def _min_support(words: np.ndarray) -> int:
-    return int(_supports(words).min())
+def _class_index(q: int, k: int, rows: np.ndarray) -> np.ndarray:
+    """Canonical r = 1 index of each normalized message in rows (..., k).
+
+    A message with its leading 1 at p is the (V - q^(k-1-p))-th of its
+    pivot, V its base-q value, after the q^(k-1) + ... + q^(k-p) with an
+    earlier pivot.
+    """
+    powers = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    p = np.arange(k)
+    base = (q**k - q ** (k - p)) // (q - 1) - powers
+    return rows @ powers + base[(rows != 0).argmax(axis=-1)]
+
+
+@dataclass
+class _Classes:
+    """The r = 1 pass: tally[w] classes of weight w; table[i] the support bits of class i, or None."""
+
+    tally: np.ndarray
+    table: np.ndarray | None
+
+
+def _classes(code: LinearCode, workers: int) -> _Classes:
+    """The r = 1 pass, run once per code; callers have budgeted (q^k - 1)/(q - 1) classes."""
+    if code._class_memo is not None:
+        return code._class_memo
+    q, k, n = code.field.q, code.k, code.n
+    classes, width = (q**k - 1) // (q - 1), -(-n // 64)
+    table = None
+    if classes * width * 8 <= TABLE_BYTES:
+        table = np.zeros((classes, width), dtype=np.uint64)
+
+    def work(bases):
+        support = _words(code, bases)[:, 0] != 0
+        if table is not None:
+            packed = np.packbits(support, axis=1, bitorder="little")
+            table.view(np.uint8)[_class_index(q, k, bases[:, 0]), : packed.shape[1]] = packed
+        return np.bincount(support.sum(axis=1), minlength=n + 1)
+
+    code._class_memo = _Classes(sum(_scan(code, 1, work, workers)), table)
+    return code._class_memo
+
+
+def _least_support(supports: np.ndarray, bases: np.ndarray) -> tuple[int, np.ndarray]:
+    i = int(supports.argmin())
+    return int(supports[i]), bases[i]
+
+
+def _check_support_identity(code: LinearCode, basis: np.ndarray, support: int) -> None:
+    """Rebuild the subcode D spanned by basis from its codewords and check
+    sum_{c in D} wt(c) = (q^r - q^(r-1)) |supp D|, summed over one word per class."""
+    q, r = code.field.q, len(basis)
+    coeffs = np.concatenate([rref_batch(q, r, *c) for c in rref_chunks(q, 1, r, q**r)])
+    total = int((_words(code, code.field.matmul(coeffs, basis)) != 0).sum())
+    if total != q ** (r - 1) * support:
+        raise RuntimeError(
+            f"subcode weights sum to {total}, support {support} needs {q ** (r - 1) * support}"
+        )
 
 
 # -- budgets: (scan name, scan size), checked before a scan starts -------------
@@ -114,6 +184,10 @@ def _enumerator_scan(code: LinearCode) -> tuple[str, int]:
     return "weight enumerator scan", code.field.q**code.k
 
 
+def _least_weight(code: LinearCode, workers: int) -> int:
+    return int(np.flatnonzero(_classes(code, workers).tally[1:])[0]) + 1
+
+
 def min_distance(
     code: LinearCode,
     method: str = "codewords",
@@ -123,8 +197,12 @@ def min_distance(
     """Exhaustive minimum distance: least codeword weight, or n minus the most points on a hyperplane."""
     _check(_distance_scan(code, method), budget)
     if method == "codewords":
-        return min(_scan(code, 1, _min_support, workers))
-    maxima = _scan(code, 1, lambda words: int((words[:, 0] == 0).sum(axis=1).max()), workers)
+        return _least_weight(code, workers)
+
+    def most_zeros(bases):
+        return int((_words(code, bases)[:, 0] == 0).sum(axis=1).max())
+
+    maxima = _scan(code, 1, most_zeros, workers)
     return code.n - max(maxima)
 
 
@@ -133,7 +211,27 @@ def higher_weight(
 ) -> int:
     """Minimum support size over r-dimensional subcodes, scanned exhaustively."""
     _check(_subcode_scan(code, r), budget)
-    return min(_scan(code, r, _min_support, workers))
+    q, k = code.field.q, code.k
+    if r == 1:
+        return _least_weight(code, workers)
+    # for r < k the r = 1 pass costs [k, 1]_q <= [k, r]_q, inside the budget
+    table = _classes(code, workers).table if r < k else None
+    if table is None:
+
+        def work(bases):
+            return _least_support((_words(code, bases) != 0).any(axis=1).sum(axis=1), bases)
+
+    else:
+
+        def work(bases):
+            union = np.bitwise_or.reduce(table[_class_index(q, k, bases)], axis=1)
+            return _least_support(np.bitwise_count(union).sum(axis=1, dtype=np.int64), bases)
+
+    # the first chunk's least wins ties, so the subcode checked is the canonical first
+    d_r, basis = min(_scan(code, r, work, workers), key=lambda part: part[0])
+    if r < k:
+        _check_support_identity(code, basis, d_r)
+    return d_r
 
 
 def weight_enumerator(
@@ -142,20 +240,31 @@ def weight_enumerator(
     """Weight -> count over all q^k codewords, including the zero word."""
     _check(_enumerator_scan(code), budget)
     q, k = code.field.q, code.k
-
-    def tally(words):
-        vals, counts = np.unique(_supports(words), return_counts=True)
-        return Counter(dict(zip(vals.tolist(), counts.tolist())))
-
-    total: Counter = Counter()
-    for part in _scan(code, 1, tally, workers):
-        total.update(part)
+    tally = _classes(code, workers).tally
     out = {0: 1}
-    for w, c in total.items():
-        out[w] = out.get(w, 0) + c * (q - 1)
+    for w in np.flatnonzero(tally).tolist():
+        out[w] = out.get(w, 0) + int(tally[w]) * (q - 1)
     if sum(out.values()) != q**k:
         raise RuntimeError(f"weight enumerator counts {sum(out.values())} words, expected {q**k}")
-    return dict(sorted(out.items()))
+    return out
+
+
+def _check_macwilliams(enum: dict[int, int], n: int, q: int, k: int) -> None:
+    """The dual distribution B_j = q^-k sum_i A_i K_j(i) must be nonnegative integers with B_0 = 1.
+
+    K_j(i) runs by the Krawtchouk recurrence (j+1) K_{j+1} =
+    ((n-j)(q-1) + j - q i) K_j - (q-1)(n-j+1) K_{j-1}, only for weights i
+    that occur.
+    """
+    dual = [0] * (n + 1)
+    for i, a in enum.items():
+        prev, cur = 0, 1
+        for j in range(n + 1):
+            dual[j] += a * cur
+            nxt = ((n - j) * (q - 1) + j - q * i) * cur - (q - 1) * (n - j + 1) * prev
+            prev, cur = cur, nxt // (j + 1)
+    if dual[0] != q**k or any(b < 0 or b % q**k for b in dual):
+        raise RuntimeError("MacWilliams transform of the weight enumerator is not a distribution")
 
 
 @dataclass
@@ -197,6 +306,7 @@ def weight_profile(
     if hw and hw[0] != d:
         raise RuntimeError(f"d={d} disagrees with d_1={hw[0]}")
     enum = weight_enumerator(code, workers=workers, budget=budget)
+    _check_macwilliams(enum, code.n, code.field.q, code.k)
     return WeightProfile(code.n, code.k, d, hw, enum, field=code.field)
 
 
@@ -207,8 +317,7 @@ def write_code_file(code: LinearCode, path: str) -> None:
     with open(path, "w") as fh:
         fh.write(code.field.header() + "\n")
         fh.write(f"# code n={code.n} k={code.k} source={code.source_string()}\n")
-        for row in code.generator.a:
-            fh.write(" ".join(str(int(x)) for x in row) + "\n")
+        np.savetxt(fh, code.generator.a, fmt="%d")
 
 
 def read_code_file(path: str) -> LinearCode:

@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 
 from conftest import field, variety
+from grasscode import bounds
 from grasscode.bounds import (
     BoundReport,
     close_family_section_bound,
@@ -175,8 +176,19 @@ def test_mindist_bound_checks():
         mindist_bound_checks(unknown, d=16)
 
 
-def test_run_suite_small_grid():
+def test_run_suite_small_grid(monkeypatch):
+    enumerated = []
+    enumerate_variety = bounds.enumerate_variety
+
+    def counted(spec, field, budget):
+        enumerated.append(spec.serialize())
+        return enumerate_variety(spec, field, budget)
+
+    monkeypatch.setattr(bounds, "enumerate_variety", counted)
     reports = run_suite([field(2)], grassmann_pairs=[(2, 4)], lagrangian_ns=[2])
+    # one variety cache serves every claim, the close-family sections included
+    assert len(enumerated) == len(set(enumerated))
+    assert "lagrangian:2" in enumerated
     assert reports == sorted(reports, key=lambda rep: rep.claim)
     failures = [r for r in reports if r.holds is False and not r.disputed]
     assert failures == []

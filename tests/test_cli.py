@@ -226,7 +226,13 @@ def test_verify_small_grid(tmp_path, capsys):
 
 
 def test_verify_bad_grid_values(capsys):
-    for argv in (("--lagrangian-n", "1"), ("--q", "6"), ("--q", "2", "--lagrangian-n", "2,0")):
+    for argv in (
+        ("--lagrangian-n", "1"),
+        ("--q", "6"),
+        ("--q", "2", "--lagrangian-n", "2,0"),
+        ("--grassmann", "3,2"),
+        ("--grassmann", "0,3"),
+    ):
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == EXIT_PARSE and out == "" and err.startswith("error: ")
 

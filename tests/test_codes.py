@@ -2,12 +2,16 @@ import json
 import random
 from math import comb
 
+import numpy as np
 import pytest
 
 from conftest import dr_reference, field, variety
+from grasscode import codes
 from grasscode.bounds import grassmann_dr_formula
 from grasscode.codes import (
     CHUNK,
+    _check_macwilliams,
+    _class_index,
     build_code,
     higher_weight,
     min_distance,
@@ -17,9 +21,10 @@ from grasscode.codes import (
     write_code_file,
 )
 from grasscode.errors import BudgetExceededError, SpecParseError
+from grasscode.field import GF
 from grasscode.grassmann import ProjSystem
 from grasscode.indices import gaussian_binomial
-from grasscode.linalg import rref_chunks, zeros
+from grasscode.linalg import rref_batch, rref_chunks, zeros
 from grasscode.sections import pi_forms
 
 
@@ -188,6 +193,7 @@ def test_code_file_roundtrip(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "# gf p=2 e=1 modulus=0,1"
     assert lines[1] == "# code n=15 k=5 source=lagrangian:2"
+    assert lines[2:] == [" ".join(map(str, row)) for row in code.generator.a.tolist()]
     back = read_code_file(str(path))
     assert back.generator == code.generator
     assert (back.n, back.k) == (code.n, code.k)
@@ -224,3 +230,101 @@ def test_subcode_scan_counts():
     for r in range(1, code.k + 1):
         total = sum(stop - start for _, start, stop in rref_chunks(2, r, code.k, CHUNK))
         assert total == gaussian_binomial(code.k, r, 2)
+
+
+@pytest.mark.parametrize("q,k", [(2, 1), (2, 6), (3, 4), (4, 3), (5, 2), (9, 2)])
+def test_class_index_of_r1_batches_is_arange(q, k):
+    # the support table is laid out by the r = 1 scan, rows looked up by _class_index
+    rows = np.concatenate([rref_batch(q, k, *c)[:, 0] for c in rref_chunks(q, 1, k, 7)])
+    assert np.array_equal(_class_index(q, k, rows), np.arange((q**k - 1) // (q - 1)))
+
+
+def _random_code_file(tmp_path, q, k, n, seed):
+    """A code file over field(q) (q = p^e) with a random full-rank k x n generator."""
+    rng = random.Random(seed)
+    p, e = {9: (3, 2), 289: (17, 2)}.get(q, (q, 1))
+    path = tmp_path / f"q{q}.code"
+    while True:
+        rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
+        text = f"{field(p, e).header()}\n# code n={n} k={k} source=unknown\n"
+        path.write_text(text + "".join(" ".join(map(str, row)) + "\n" for row in rows))
+        try:
+            return read_code_file(str(path))
+        except SpecParseError:  # dependent rows: draw again
+            continue
+
+
+@pytest.mark.parametrize(
+    "source,ref_r",
+    [
+        (("grassmann:2,4", 2), 3),  # GF(2)
+        (("lagrangian:2", 3), 2),  # GF(3)
+        (("grassmann:1,3", 2, 2), 3),  # GF(2^2)
+        ((9, 3, 7), 2),  # GF(3^2), a random code file
+        ((289, 3, 6), 0),  # GF(17^2), above the q x q tables; no reference at 289^3 words
+    ],
+    ids=["gf2", "gf3", "gf4", "gf9-file", "gf289-file"],
+)
+def test_table_path_matches_fallback_and_reference(source, ref_r, tmp_path, monkeypatch):
+    def make():
+        if isinstance(source[0], str):
+            return build_code(variety(*source))
+        return _random_code_file(tmp_path, *source, seed=5)
+
+    table_code, product_code = make(), make()
+    with_table = [higher_weight(table_code, r) for r in range(1, table_code.k + 1)]
+    monkeypatch.setattr(codes, "TABLE_BYTES", 0)
+    with_products = [higher_weight(product_code, r) for r in range(1, product_code.k + 1)]
+    assert table_code._class_memo.table is not None and product_code._class_memo.table is None
+    assert with_table == with_products
+    assert with_table[-1] == int((table_code.generator.a != 0).any(axis=0).sum())  # r = k
+    for r in range(1, ref_r + 1):
+        assert with_table[r - 1] == dr_reference(table_code, r)
+
+
+def test_products_only_without_table_or_at_r_equal_k(monkeypatch):
+    # once the r = 1 pass is done, r < k needs field products only for the
+    # support-identity check (two products); the fallback needs one per chunk
+    calls = []
+    matmul = GF.matmul
+    monkeypatch.setattr(GF, "matmul", lambda self, a, b: calls.append(1) or matmul(self, a, b))
+    code = build_code(variety("grassmann:2,4", 2))
+    higher_weight(code, 1)
+    for r, products in ((2, 2), (3, 2), (code.k, 1)):
+        calls.clear()
+        higher_weight(code, r)
+        assert len(calls) == products
+    monkeypatch.setattr(codes, "TABLE_BYTES", 0)
+    code = build_code(variety("grassmann:2,4", 2))
+    higher_weight(code, 1)
+    calls.clear()
+    higher_weight(code, 2)
+    assert len(calls) == len(list(rref_chunks(2, 2, code.k, CHUNK))) + 2
+
+
+@pytest.mark.parametrize("spec,q", [("grassmann:2,4", 3), ("lagrangian:2", 2)])
+def test_profiles_identical_for_one_and_two_workers(spec, q, monkeypatch):
+    # small chunks, so both the r = 1 pass and the r >= 2 scans split many ways
+    monkeypatch.setattr(codes, "CHUNK", 16)
+    profiles = [
+        weight_profile(build_code(variety(spec, q)), r_max=3, workers=w).to_json_dict()
+        for w in (1, 2)
+    ]
+    assert json.dumps(profiles[0]) == json.dumps(profiles[1])
+
+
+def test_corrupted_table_row_fails_support_identity():
+    code = build_code(variety("grassmann:2,4", 2))
+    assert higher_weight(code, 2) == 24
+    # the class of e_6 is the second row of every basis with pivots (p, 5), so
+    # a cleared row lets those subcodes report the support of their first row
+    code._class_memo.table[-1] = 0
+    with pytest.raises(RuntimeError, match="subcode weights sum"):
+        higher_weight(code, 2)
+
+
+def test_macwilliams_check():
+    _check_macwilliams({0: 1, 2: 1}, n=2, q=2, k=1)  # repetition code
+    _check_macwilliams(weight_enumerator(build_code(variety("lagrangian:2", 3))), n=40, q=3, k=5)
+    with pytest.raises(RuntimeError, match="MacWilliams"):
+        _check_macwilliams({0: 1, 1: 3}, n=2, q=2, k=2)  # B_1 = 1/2
