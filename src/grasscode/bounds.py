@@ -180,23 +180,17 @@ def grassmann_dr_cap_check(n: int, q: int, r: int, dr_value: int, counts: dict) 
     )
 
 
-def _enumerated(spec: VarietySpec, field: GF, budget: int, variety):
-    """The points of spec: from variety(spec string), a caller's cache, if given."""
-    if variety is None:
-        return enumerate_variety(spec, field, budget)
-    return variety(spec.serialize())
+def close_family_section_bound(n: int, field: GF, lam_set, variety) -> BoundReport:
+    """Points of the Lagrangian with all family coordinates zero, vs. the count bound.
 
-
-def close_family_section_bound(
-    n: int, field: GF, lam_set, budget: int = DEFAULT_POINT_BUDGET, variety=None
-) -> BoundReport:
-    """Points of the Lagrangian with all family coordinates zero, vs. the count bound."""
+    variety maps a spec string to its enumerated system over field.
+    """
     lam_set = tuple(sorted({tuple(t) for t in lam_set}))
     if not is_close_family(lam_set):
         raise ValueError(f"{lam_set} is not a close family")
     q = field.q
     k = len(lam_set)
-    system = _enumerated(make_spec("lagrangian", n, 2 * n), field, budget, variety)
+    system = variety(make_spec("lagrangian", n, 2 * n).serialize())
     pos = index_positions(n, 2 * n)
     cols = [pos[t] for t in lam_set]
     count = int((~system.points[:, cols].any(axis=1)).sum())
@@ -217,16 +211,18 @@ def section_code_params_check(
     m: int,
     field: GF,
     lam_set,
-    budget: int = DEFAULT_POINT_BUDGET,
-    variety=None,
+    variety,
 ) -> list[BoundReport]:
-    """Length formula and dimension check for a coordinate-vanishing section code."""
+    """Length formula and dimension check for a coordinate-vanishing section code.
+
+    variety maps a spec string to its enumerated system over field.
+    """
     lam_set = tuple(sorted({tuple(t) for t in lam_set}))
     if not lam_set:
         raise ValueError("need at least one index tuple")
     q = field.q
     spec = make_spec("elambda", ell, m, lam_set)
-    system = _enumerated(spec, field, budget, variety)
+    system = variety(spec.serialize())
     lams = "|".join(format_tuple(t) for t in lam_set)
     close = is_close_family(lam_set)
     params = {
@@ -490,9 +486,9 @@ def _grassmann_claims(field, ell, m, variety, budget_scans, workers):
             out.append(_bool_report(claim, params, verify_ffn(esys), cite))
         else:
             out.append(_report(claim, params, None, None, "==", cite, note="degenerate: empty section"))
-        out.extend(section_code_params_check(ell, m, field, fam, variety=variety))
+        out.extend(section_code_params_check(ell, m, field, fam, variety))
         if m == 2 * ell:
-            out.append(close_family_section_bound(ell, field, fam, variety=variety))
+            out.append(close_family_section_bound(ell, field, fam, variety))
     return out
 
 

@@ -14,13 +14,15 @@ support bitmasks, one row per class in canonical order.  The support of
 a subcode is the union of the supports of its basis rows (Wei 1991), and
 each row of a canonical rref basis is itself a normalized message, so
 ``d_r`` for 2 <= r < k is the least popcount of the OR of r table rows:
-no field products.  Without a table, and for r = k (one subcode, where a
-table would cost the whole r = 1 pass), the subcodes' bases are
-multiplied by the generator instead.  The subcode attaining ``d_r``
-(r < k) is rebuilt from its codewords with ``field.matmul`` and checked
-against sum_{c in D} wt(c) = (q^r - q^(r-1)) |supp D|, and
-``weight_profile`` checks that the MacWilliams transform of the
-enumerator is a distribution.  The hyperplane route to ``d`` is n minus
+no field products.  Over ``TABLE_BYTES`` (a cap on memory, not a speed
+trade: the OR is the faster path wherever it runs) and for r = k (one
+subcode, where a table would cost the whole r = 1 pass), r >= 2 skips
+the table and multiplies the subcodes' bases by the generator instead.
+The subcode attaining ``d_r`` (r < k) is rebuilt from its codewords with
+``field.matmul`` and checked against
+sum_{c in D} wt(c) = (q^r - q^(r-1)) |supp D|, and ``weight_profile``
+checks that the MacWilliams transform of the enumerator is a
+distribution.  The hyperplane route to ``d`` is n minus
 the largest zero count of its own r = 1 scan.
 """
 
@@ -40,7 +42,7 @@ from .linalg import Mat, rref_batch, rref_chunks
 
 DEFAULT_SCAN_BUDGET = 1 << 26
 CHUNK = 1024
-# largest support table kept; over it, r >= 2 falls back to products with G
+# memory cap on the support table; over it, r >= 2 falls back to products with G
 TABLE_BYTES = 1 << 27
 
 
@@ -118,15 +120,20 @@ class _Classes:
     table: np.ndarray | None
 
 
+def _table_shape(code: LinearCode) -> tuple[int, int] | None:
+    """(classes, uint64 words per class) of the support table, or None over TABLE_BYTES."""
+    q, k = code.field.q, code.k
+    classes, width = (q**k - 1) // (q - 1), -(-code.n // 64)
+    return (classes, width) if classes * width * 8 <= TABLE_BYTES else None
+
+
 def _classes(code: LinearCode, workers: int) -> _Classes:
     """The r = 1 pass, run once per code; callers have budgeted (q^k - 1)/(q - 1) classes."""
     if code._class_memo is not None:
         return code._class_memo
     q, k, n = code.field.q, code.k, code.n
-    classes, width = (q**k - 1) // (q - 1), -(-n // 64)
-    table = None
-    if classes * width * 8 <= TABLE_BYTES:
-        table = np.zeros((classes, width), dtype=np.uint64)
+    shape = _table_shape(code)
+    table = None if shape is None else np.zeros(shape, dtype=np.uint64)
 
     def work(bases):
         support = _words(code, bases)[:, 0] != 0
@@ -215,7 +222,7 @@ def higher_weight(
     if r == 1:
         return _least_weight(code, workers)
     # for r < k the r = 1 pass costs [k, 1]_q <= [k, r]_q, inside the budget
-    table = _classes(code, workers).table if r < k else None
+    table = _classes(code, workers).table if r < k and _table_shape(code) else None
     if table is None:
 
         def work(bases):
@@ -253,16 +260,18 @@ def _check_macwilliams(enum: dict[int, int], n: int, q: int, k: int) -> None:
     """The dual distribution B_j = q^-k sum_i A_i K_j(i) must be nonnegative integers with B_0 = 1.
 
     K_j(i) runs by the Krawtchouk recurrence (j+1) K_{j+1} =
-    ((n-j)(q-1) + j - q i) K_j - (q-1)(n-j+1) K_{j-1}, only for weights i
-    that occur.
+    ((n-j)(q-1) + j - q i) K_j - (q-1)(n-j+1) K_{j-1}, for the weights i
+    that occur only, all at once in an object array: n + 1 steps, each a
+    few operations per weight on integers of about n log2(q) bits.
     """
-    dual = [0] * (n + 1)
-    for i, a in enum.items():
-        prev, cur = 0, 1
-        for j in range(n + 1):
-            dual[j] += a * cur
-            nxt = ((n - j) * (q - 1) + j - q * i) * cur - (q - 1) * (n - j + 1) * prev
-            prev, cur = cur, nxt // (j + 1)
+    i = np.array(list(enum), dtype=object)
+    a = np.array(list(enum.values()), dtype=object)
+    prev, cur = np.zeros_like(i), np.ones_like(i)
+    dual = []
+    for j in range(n + 1):
+        dual.append(a.dot(cur))
+        nxt = ((n - j) * (q - 1) + j - q * i) * cur - (q - 1) * (n - j + 1) * prev
+        prev, cur = cur, nxt // (j + 1)
     if dual[0] != q**k or any(b < 0 or b % q**k for b in dual):
         raise RuntimeError("MacWilliams transform of the weight enumerator is not a distribution")
 

@@ -17,6 +17,11 @@ def variety(spec_str, p, e=1):
     return enumerate_variety(parse_variety_spec(spec_str), field(p, e))
 
 
+def varieties(p, e=1):
+    """Spec string -> cached system over GF(p^e), the lookup bounds' section checks take."""
+    return lambda spec_str: variety(spec_str, p, e)
+
+
 def point_set(system):
     """The points of a system as a set of tuples."""
     return set(map(tuple, system.points.tolist()))

@@ -7,7 +7,7 @@ import json
 import random
 from itertools import combinations
 
-from conftest import dr_reference, field, point_set, schubert_member_flag, variety
+from conftest import dr_reference, field, point_set, schubert_member_flag, varieties, variety
 from grasscode.bounds import (
     close_family_section_bound,
     grassmann_dr_cap_check,
@@ -209,13 +209,13 @@ def test_criterion_10_sandwich_and_section_bounds():
                 if not rep.holds:
                     problems.append(("sandwich", q, r, rep.claim))
         for fam in _close_families(2, 4):
-            rep = close_family_section_bound(2, field(q), fam)
+            rep = close_family_section_bound(2, field(q), fam, varieties(q))
             if not rep.holds:
                 problems.append(("section-bound", q, fam))
     for fam in _close_families(2, 4):
         if len(fam) < 2:
             continue
-        for rep in section_code_params_check(2, 4, field(2), fam):
+        for rep in section_code_params_check(2, 4, field(2), fam, varieties(2)):
             if rep.claim.startswith("elambda-length") and not rep.holds:
                 problems.append(("length-formula", fam))
     check("criterion-10", "sandwich r=1,2; close-family section bound; section length formula", problems)

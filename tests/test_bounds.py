@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import field, variety
+from conftest import field, varieties, variety
 from grasscode import bounds
 from grasscode.bounds import (
     BoundReport,
@@ -104,21 +104,21 @@ def test_close_family_section_bound_sweep(q):
     families = _close_families(2, 4)
     assert len(families) == 26  # 6 singletons, 12 intersecting pairs, 4 stars + 4 triangles
     for fam in families:
-        report = close_family_section_bound(2, field(q), fam)
+        report = close_family_section_bound(2, field(q), fam, varieties(q))
         assert report.holds, (fam, report.lhs, report.rhs)
 
 
 def test_close_family_section_bound_examples():
-    rep = close_family_section_bound(2, field(2), [(1, 2), (1, 3)])
+    rep = close_family_section_bound(2, field(2), [(1, 2), (1, 3)], varieties(2))
     assert rep.rhs == 35 - 16 - 8 == 11 and rep.holds
-    rep1 = close_family_section_bound(2, field(2), [(1, 2)])
+    rep1 = close_family_section_bound(2, field(2), [(1, 2)], varieties(2))
     assert rep1.rhs == 35 - 16 == 19
     with pytest.raises(ValueError):
-        close_family_section_bound(2, field(2), [(1, 2), (3, 4)])
+        close_family_section_bound(2, field(2), [(1, 2), (3, 4)], varieties(2))
 
 
 def test_section_code_params_close_example():
-    reports = section_code_params_check(2, 4, field(2), [(1, 2), (1, 3)])
+    reports = section_code_params_check(2, 4, field(2), [(1, 2), (1, 3)], varieties(2))
     by_claim = {r.claim.split("[")[0]: r for r in reports}
     length = by_claim["elambda-length"]
     assert (length.lhs, length.rhs) == (11, 11) and length.holds
@@ -128,7 +128,7 @@ def test_section_code_params_close_example():
 
 def test_section_code_params_all_close_families_q2():
     for fam in _close_families(2, 4):
-        for report in section_code_params_check(2, 4, field(2), fam):
+        for report in section_code_params_check(2, 4, field(2), fam, varieties(2)):
             assert report.holds, (fam, report.claim)
 
 
@@ -136,7 +136,7 @@ def test_section_code_dimension_for_non_close_families():
     # the k check holds for every family of size <= 3, close or not
     for size in (1, 2, 3):
         for fam in combinations(enumerate_index_tuples(2, 4), size):
-            reports = section_code_params_check(2, 4, field(2), fam)
+            reports = section_code_params_check(2, 4, field(2), fam, varieties(2))
             dim = [r for r in reports if r.claim.startswith("elambda-dimension")][0]
             assert dim.holds, fam
             if size >= 2 and not is_close_family(fam):
@@ -145,7 +145,8 @@ def test_section_code_dimension_for_non_close_families():
 
 
 def test_section_code_params_degenerate():
-    reports = section_code_params_check(2, 4, field(2), enumerate_index_tuples(2, 4))
+    every = enumerate_index_tuples(2, 4)
+    reports = section_code_params_check(2, 4, field(2), every, varieties(2))
     assert len(reports) == 1
     assert reports[0].holds is None and "degenerate" in reports[0].note
 

@@ -296,9 +296,10 @@ def test_products_only_without_table_or_at_r_equal_k(monkeypatch):
         assert len(calls) == products
     monkeypatch.setattr(codes, "TABLE_BYTES", 0)
     code = build_code(variety("grassmann:2,4", 2))
-    higher_weight(code, 1)
     calls.clear()
     higher_weight(code, 2)
+    # over TABLE_BYTES, r >= 2 goes straight to the product scan: no r = 1 pass
+    assert code._class_memo is None
     assert len(calls) == len(list(rref_chunks(2, 2, code.k, CHUNK))) + 2
 
 
