@@ -14,12 +14,8 @@ from math import comb
 
 import numpy as np
 
-from .codes import (
-    DEFAULT_SCAN_BUDGET,
-    build_code,
-    higher_weight,
-    min_distance,
-)
+from .codes import DEFAULT_SCAN_BUDGET, build_code, higher_weight, min_distance
+from .errors import BudgetExceededError
 from .field import GF
 from .grassmann import DEFAULT_POINT_BUDGET
 from .indices import (
@@ -90,6 +86,18 @@ def _report(claim, params, lhs, rhs, relation, citation, disputed=False, note=""
     return BoundReport(claim, params, lhs, rhs, relation, holds, citation, disputed, note)
 
 
+def _unevaluated(claim, params, relation, citation, note):
+    return _report(claim, params, None, None, relation, citation, note=note)
+
+
+def _scanned(scan):
+    """scan(), or None when codes refuses it as over the scan budget."""
+    try:
+        return scan()
+    except BudgetExceededError:
+        return None
+
+
 # -- closed forms ---------------------------------------------------------------
 
 
@@ -117,47 +125,32 @@ def elambda_length_formula(ell: int, m: int, q: int, r: int) -> int:
 # -- individual checks -----------------------------------------------------------
 
 
-def lagrangian_dr_sandwich(n: int, q: int, r: int, computed: dict) -> list[BoundReport]:
+def lagrangian_dr_sandwich(
+    n: int, q: int, r: int, *, L: int, G: int, dim_v: int, d_r_L: int, d_rp_G: int
+) -> list[BoundReport]:
     """Two-sided bound on d_r of the Lagrangian code from exhaustive inputs.
 
-    computed needs keys L, G, dimV, d_r_L and d_rp_G, where the last is
-    d_{r'} of the ambient Grassmann code at r' = C(2n,n) - dimV + r.
+    L and G are the Lagrangian and Grassmann point counts, dim_v the
+    dimension of the Lagrangian's linear hull, and d_rp_G is d_{r'} of the
+    ambient Grassmann code at r' = C(2n,n) - dim_v + r.
     """
-    params = {"n": n, "q": q, "r": r}
-    for key in ("L", "G", "dimV", "d_r_L"):
-        if key not in computed:
-            raise ValueError(f"missing computed input {key!r}")
-    rprime = comb(2 * n, n) - computed["dimV"] + r
-    params["rprime"] = rprime
+    rprime = comb(2 * n, n) - dim_v + r
+    params = {"n": n, "q": q, "r": r, "rprime": rprime}
     cite = "two-sided bound on Lagrangian higher weights via ambient Grassmann sections"
-    if computed.get("d_rp_G") is None:
-        return [
-            _report(
-                f"lagrangian-sandwich[n={n},q={q},r={r}]",
-                params,
-                None,
-                None,
-                "<=",
-                cite,
-                note="not evaluable: d_{r'} of the Grassmann code unavailable",
-            )
-        ]
-    lower = computed["L"] - computed["G"] + computed["d_rp_G"]
-    upper = computed["L"] - computed["dimV"] + r
     return [
         _report(
             f"lagrangian-sandwich-lower[n={n},q={q},r={r}]",
             params,
-            lower,
-            computed["d_r_L"],
+            L - G + d_rp_G,
+            d_r_L,
             "<=",
             cite,
         ),
         _report(
             f"lagrangian-sandwich-upper[n={n},q={q},r={r}]",
             params,
-            computed["d_r_L"],
-            upper,
+            d_r_L,
+            L - dim_v + r,
             "<=",
             cite + " (generalized Singleton)",
         ),
@@ -232,20 +225,17 @@ def section_code_params_check(
         "family": [format_tuple(t) for t in lam_set],
         "close": close,
     }
-    reports = []
     if not len(system):
-        reports.append(
-            _report(
+        return [
+            _unevaluated(
                 f"elambda-length[l={ell},m={m},q={q},fam={lams}]",
                 params,
-                None,
-                None,
                 "==",
                 "linear-section code length formula",
-                note="degenerate: empty section",
+                "degenerate: empty section",
             )
-        )
-        return reports
+        ]
+    reports = []
     r = len(lam_set)
     if r >= 2:
         reports.append(
@@ -274,76 +264,30 @@ def section_code_params_check(
     return reports
 
 
-def mindist_bound_checks(
-    code,
-    d: int | None = None,
-    point_budget: int = DEFAULT_POINT_BUDGET,
-    scan_budget: int = DEFAULT_SCAN_BUDGET,
-    workers: int = 1,
-) -> list[BoundReport]:
-    """The provenance kind's stated minimum-distance bound, checked exactly."""
-    spec = code.provenance
-    if isinstance(spec, str):
-        spec = parse_variety_spec(spec)
+def mindist_bound_checks(system, d: int) -> list[BoundReport]:
+    """The minimum distance d of the system's code against the bound stated for its kind."""
+    spec = system.source
     if not isinstance(spec, VarietySpec):
-        raise ValueError(f"unknown provenance {code.provenance!r}")
-    q = code.field.q
-    if d is None:
-        d = min_distance(code, workers=workers, budget=scan_budget)
-    tag = spec.serialize()
-    params = {"spec": tag, "q": q, "d": d}
-    if spec.kind == "grassmann":
-        delta = spec.ell * (spec.m - spec.ell)
-        return [
-            _report(
-                f"mindist[{tag},q={q}]",
-                params,
-                d,
-                q**delta,
-                "==",
-                "Grassmann code distance q^delta",
-            )
-        ]
-    if spec.kind in ("schubert", "union"):
-        dim = max(schubert_cell_dimension(lam) for lam in spec.tuples)
-        return [
-            _report(
-                f"mindist[{tag},q={q}]",
-                params,
-                d,
-                q**dim,
-                "<=",
-                "distance bounded by q^dim of the Schubert union",
-            )
-        ]
-    if spec.kind == "lagrangian":
-        expo = spec.n * (spec.n + 1) // 2
-        return [
-            _report(
-                f"mindist[{tag},q={q}]",
-                params,
-                d,
-                q**expo,
-                "<",
-                "Lagrangian code distance strictly below q^(n(n+1)/2)",
-            )
-        ]
-    if spec.kind in ("lag-schubert", "lag-union"):
-        system = enumerate_variety(spec, code.field, point_budget)
-        dim = combinatorial_dimension(system)
-        return [
-            _report(
-                f"mindist[{tag},q={q}]",
-                params,
-                d,
-                q**dim,
-                "<=",
-                "distance bounded by q^dim of the Lagrangian Schubert section",
-            )
-        ]
+        raise ValueError(f"unknown provenance {spec!r}")
     if spec.kind == "isotropic":
         return []
-    raise ValueError(f"unknown provenance kind {spec.kind!r}")
+    if spec.kind == "grassmann":
+        relation, expo = "==", spec.ell * (spec.m - spec.ell)
+        cite = "Grassmann code distance q^delta"
+    elif spec.kind in ("schubert", "union"):
+        relation, expo = "<=", max(schubert_cell_dimension(lam) for lam in spec.tuples)
+        cite = "distance bounded by q^dim of the Schubert union"
+    elif spec.kind == "lagrangian":
+        relation, expo = "<", spec.n * (spec.n + 1) // 2
+        cite = "Lagrangian code distance strictly below q^(n(n+1)/2)"
+    elif spec.kind in ("lag-schubert", "lag-union"):
+        relation, expo = "<=", combinatorial_dimension(system)
+        cite = "distance bounded by q^dim of the Lagrangian Schubert section"
+    else:
+        raise ValueError(f"unknown provenance kind {spec.kind!r}")
+    q, tag = system.field.q, spec.serialize()
+    params = {"spec": tag, "q": q, "d": d}
+    return [_report(f"mindist[{tag},q={q}]", params, d, q**expo, relation, cite)]
 
 
 # -- the full verification suite --------------------------------------------------
@@ -355,12 +299,8 @@ def _bool_report(claim, params, value: bool, citation, note=""):
 
 def _close_families(ell: int, m: int, max_size: int = 3):
     tuples = enumerate_index_tuples(ell, m)
-    out = []
-    for size in range(1, max_size + 1):
-        for fam in combinations(tuples, size):
-            if is_close_family(fam):
-                out.append(fam)
-    return out
+    families = (fam for size in range(1, max_size + 1) for fam in combinations(tuples, size))
+    return [fam for fam in families if is_close_family(fam)]
 
 
 def run_suite(
@@ -386,9 +326,7 @@ def run_suite(
         for ell, m in grassmann_pairs:
             reports.extend(_grassmann_claims(field, ell, m, variety, budget_scans, workers))
         for n in lagrangian_ns:
-            reports.extend(
-                _lagrangian_claims(field, n, variety, budget_points, budget_scans, workers)
-            )
+            reports.extend(_lagrangian_claims(field, n, variety, budget_scans, workers))
     reports.sort(key=lambda rep: rep.claim)
     return reports
 
@@ -419,30 +357,15 @@ def _grassmann_claims(field, ell, m, variety, budget_scans, workers):
     for r in range(1, dr_equality_max(ell, m) + 1):
         claim = f"grassmann-dr[l={ell},m={m},q={q},r={r}]"
         params = {"l": ell, "m": m, "q": q, "r": r}
-        if r > code.k or gaussian_binomial(code.k, r, q) > budget_scans:
-            out.append(
-                _report(
-                    claim,
-                    params,
-                    None,
-                    None,
-                    "==",
-                    "Grassmann higher-weight formula",
-                    note="not evaluated: subcode scan over budget",
-                )
-            )
-            continue
-        dr = higher_weight(code, r, workers=workers, budget=budget_scans)
-        out.append(
-            _report(
-                claim,
-                params,
-                dr,
-                grassmann_dr_formula(ell, m, q, r),
-                "==",
-                "Grassmann higher-weight formula",
-            )
-        )
+        cite = "Grassmann higher-weight formula"
+        dr = None
+        if r <= code.k:
+            dr = _scanned(lambda: higher_weight(code, r, workers=workers, budget=budget_scans))
+        if dr is None:
+            note = "not evaluated: subcode scan over budget"
+            out.append(_unevaluated(claim, params, "==", cite, note))
+        else:
+            out.append(_report(claim, params, dr, grassmann_dr_formula(ell, m, q, r), "==", cite))
     for lam in enumerate_index_tuples(ell, m):
         ssys = variety(f"schubert:{ell},{m}:{format_tuple(lam)}")
         out.append(
@@ -485,14 +408,14 @@ def _grassmann_claims(field, ell, m, variety, budget_scans, workers):
         if len(esys):
             out.append(_bool_report(claim, params, verify_ffn(esys), cite))
         else:
-            out.append(_report(claim, params, None, None, "==", cite, note="degenerate: empty section"))
+            out.append(_unevaluated(claim, params, "==", cite, "degenerate: empty section"))
         out.extend(section_code_params_check(ell, m, field, fam, variety))
         if m == 2 * ell:
             out.append(close_family_section_bound(ell, field, fam, variety))
     return out
 
 
-def _lagrangian_claims(field, n, variety, budget_points, budget_scans, workers):
+def _lagrangian_claims(field, n, variety, budget_scans, workers):
     q = field.q
     out = []
     lsys = variety(f"lagrangian:{n}")
@@ -579,73 +502,61 @@ def _lagrangian_claims(field, n, variety, budget_points, budget_scans, workers):
             "code dimension = ambient dimension minus rank of the forms",
         )
     )
-    counts = {"L": len(lsys.points), "G": len(gsys.points), "dimV": hull_dim}
-    if q**code.k <= budget_scans:
-        d = min_distance(code, workers=workers, budget=budget_scans)
-        out.extend(mindist_bound_checks(code, d=d, scan_budget=budget_scans))
-        gcode = build_code(gsys)
-        for r in (1, 2):
-            computed = dict(counts)
-            rprime = comb(2 * n, n) - hull_dim + r
-            # d_{r'} of the ambient code: closed form inside its equality
-            # range, exhaustive scan otherwise
-            if 1 <= rprime <= dr_equality_max(n, 2 * n):
-                computed["d_rp_G"] = grassmann_dr_formula(n, 2 * n, q, rprime)
-            elif 1 <= rprime <= gcode.k and gaussian_binomial(gcode.k, rprime, q) <= budget_scans:
-                computed["d_rp_G"] = higher_weight(
-                    gcode, rprime, workers=workers, budget=budget_scans
-                )
-            else:
-                computed["d_rp_G"] = None
-            feasible_r_l = (
-                computed["d_rp_G"] is not None
-                and r <= code.k
-                and gaussian_binomial(code.k, r, q) <= budget_scans
-            )
-            if feasible_r_l:
-                computed["d_r_L"] = higher_weight(code, r, workers=workers, budget=budget_scans)
-            else:
-                computed["d_r_L"] = None
-            if computed["d_r_L"] is None or computed["d_rp_G"] is None:
-                out.append(
-                    _report(
-                        f"lagrangian-sandwich[n={n},q={q},r={r}]",
-                        {"n": n, "q": q, "r": r},
-                        None,
-                        None,
-                        "<=",
-                        "two-sided bound on Lagrangian higher weights",
-                        note="not evaluated: scans over budget",
-                    )
-                )
-            else:
-                out.extend(lagrangian_dr_sandwich(n, q, r, computed))
-        for r in (1, 2, 3):
-            if r <= gcode.k and gaussian_binomial(gcode.k, r, q) <= budget_scans:
-                dr = higher_weight(gcode, r, workers=workers, budget=budget_scans)
-                out.append(grassmann_dr_cap_check(n, q, r, dr, counts))
-            else:
-                out.append(
-                    _report(
-                        f"grassmann-dr-cap[n={n},q={q},r={r}]",
-                        {"n": n, "q": q, "r": r},
-                        None,
-                        None,
-                        "<=",
-                        "Grassmann higher weights capped by the count gap",
-                        note="not evaluated: subcode scan over budget",
-                    )
-                )
-    else:
+    d = _scanned(lambda: min_distance(code, workers=workers, budget=budget_scans))
+    if d is None:
         out.append(
-            _report(
+            _unevaluated(
                 f"mindist[lagrangian:{n},q={q}]",
                 {"n": n, "q": q},
-                None,
-                None,
                 "<",
                 "Lagrangian code distance strictly below q^(n(n+1)/2)",
-                note="not evaluated: codeword scan over budget",
+                "not evaluated: codeword scan over budget",
             )
         )
+        return out
+    out.extend(mindist_bound_checks(lsys, d))
+    gcode = build_code(gsys)
+    sizes = {"L": len(lsys.points), "G": len(gsys.points), "dim_v": hull_dim}
+    for r in (1, 2):
+        rprime = comb(2 * n, n) - hull_dim + r
+        # d_{r'} of the ambient code: closed form inside its equality
+        # range, exhaustive scan otherwise
+        d_rp_G = d_r_L = None
+        if 1 <= rprime <= dr_equality_max(n, 2 * n):
+            d_rp_G = grassmann_dr_formula(n, 2 * n, q, rprime)
+        elif 1 <= rprime <= gcode.k:
+            d_rp_G = _scanned(
+                lambda: higher_weight(gcode, rprime, workers=workers, budget=budget_scans)
+            )
+        if d_rp_G is not None and r <= code.k:
+            d_r_L = _scanned(lambda: higher_weight(code, r, workers=workers, budget=budget_scans))
+        if d_r_L is None:
+            out.append(
+                _unevaluated(
+                    f"lagrangian-sandwich[n={n},q={q},r={r}]",
+                    {"n": n, "q": q, "r": r},
+                    "<=",
+                    "two-sided bound on Lagrangian higher weights",
+                    "not evaluated: scans over budget",
+                )
+            )
+        else:
+            out.extend(lagrangian_dr_sandwich(n, q, r, **sizes, d_r_L=d_r_L, d_rp_G=d_rp_G))
+    counts = {"L": len(lsys.points), "G": len(gsys.points), "dimV": hull_dim}
+    for r in (1, 2, 3):
+        dr = None
+        if r <= gcode.k:
+            dr = _scanned(lambda: higher_weight(gcode, r, workers=workers, budget=budget_scans))
+        if dr is None:
+            out.append(
+                _unevaluated(
+                    f"grassmann-dr-cap[n={n},q={q},r={r}]",
+                    {"n": n, "q": q, "r": r},
+                    "<=",
+                    "Grassmann higher weights capped by the count gap",
+                    "not evaluated: subcode scan over budget",
+                )
+            )
+        else:
+            out.append(grassmann_dr_cap_check(n, q, r, dr, counts))
     return out

@@ -75,13 +75,16 @@ def _resolve_config(args, need_field: bool) -> RunConfig:
     if need_field:
         q = getattr(args, "q", None)
         p = getattr(args, "p", None)
+        e = getattr(args, "e", None)
         try:
             if q is not None:
                 field = field_for_order(q)
                 if p is not None and field.p != p:
                     raise SpecParseError(f"--q {q} conflicts with --p {p}")
+                if e is not None and field.e != e:
+                    raise SpecParseError(f"--q {q} conflicts with --e {e}")
             elif p is not None:
-                field = GF(p, getattr(args, "e", None) or 1)
+                field = GF(p, 1 if e is None else e)
             else:
                 raise SpecParseError("a field is required: pass --q or --p/--e")
         except ValueError as exc:

@@ -39,22 +39,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _digits(v: int, p: int, n: int) -> list[int]:
-    """n base-p digits of v, least significant first."""
-    out = []
-    for _ in range(n):
-        v, r = divmod(v, p)
-        out.append(r)
-    return out
-
-
-def _encode(digits, p: int) -> int:
-    v = 0
-    for d in reversed(digits):
-        v = v * p + d
-    return v
-
-
 def _irreducible_rows(polys: np.ndarray, p: int) -> np.ndarray:
     """Which rows of a (K, e+1) array of monic polynomials are irreducible over GF(p).
 
@@ -195,27 +179,6 @@ class GF:
                 return int(candidates[np.argmax(primitive)])
         raise AssertionError("no multiplicative generator found")
 
-    # -- polynomial reference arithmetic --------------------------------------
-    # Independent of the tables: the tests compare the tables against it.
-
-    def _scalar_add_poly(self, a: int, b: int) -> int:
-        p = self.p
-        da, db = _digits(a, p, self.e), _digits(b, p, self.e)
-        return _encode([(x + y) % p for x, y in zip(da, db)], p)
-
-    def _scalar_mul_poly(self, a: int, b: int) -> int:
-        p, e = self.p, self.e
-        prod = [0] * (2 * e - 1)
-        for i, x in enumerate(_digits(a, p, e)):
-            for j, y in enumerate(_digits(b, p, e)):
-                prod[i + j] += x * y
-        # long division by the monic modulus, top coefficient first
-        for k in range(2 * e - 2, e - 1, -1):
-            c = prod[k] % p
-            for i, m in enumerate(self.modulus):
-                prod[k - e + i] -= c * m
-        return _encode([c % p for c in prod[:e]], p)
-
     def _digitwise(self, x, y, sign: int):
         """x + sign * y, base-p digit by digit mod p; on ints or arrays (odd p, e > 1)."""
         p, out, w = self.p, 0, 1
@@ -255,34 +218,9 @@ class GF:
             return pow(a, -1, self.p)
         return int(self._exp[self.q - 1 - self._log[a]])
 
-    def pow(self, a: int, n: int) -> int:
-        if n < 0:
-            a, n = self.inv(a), -n
-        out, base = 1, a
-        while n:
-            if n & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            n >>= 1
-        return out
-
-    def arith(self, op: str, a: int, b: int) -> int:
-        if op == "add":
-            return self.add(a, b)
-        if op == "sub":
-            return self.sub(a, b)
-        if op == "mul":
-            return self.mul(a, b)
-        if op == "neg":
-            return self.neg(a)
-        raise ValueError(f"unknown op {op!r}")
-
     def from_int(self, c: int) -> int:
         """The element c * 1 (image of an ordinary integer, e.g. -1)."""
         return c % self.p
-
-    def elements(self) -> range:
-        return range(self.q)
 
     def multiplicative_generator(self) -> int:
         """The smallest element of order q - 1."""
@@ -375,11 +313,6 @@ class GF:
 
     def __repr__(self):
         return f"GF({self.p}^{self.e})" if self.e > 1 else f"GF({self.p})"
-
-
-def make_field(p: int, e: int) -> GF:
-    """GF(p^e) with the lexicographically smallest irreducible modulus."""
-    return GF(p, e)
 
 
 def field_for_order(q: int) -> GF:

@@ -21,10 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BudgetExceededError, SpecParseError
-from .field import GF, parse_field_header
-from .indices import enumerate_index_tuples, gaussian_binomial, index_positions
-from .linalg import Mat, maximal_minors, rref_batch, rref_chunks, zeros
+from .field import GF
+from .linalg import Mat, maximal_minors, rref_batch, rref_chunks
 
 DEFAULT_POINT_BUDGET = 10**6
 
@@ -88,111 +86,8 @@ def stack_rows(parts, capacity: int, width: int) -> np.ndarray:
     return out
 
 
-def normalize_point(field: GF, coords) -> tuple[int, ...]:
-    coords = [int(c) for c in coords]
-    first = next((c for c in coords if c), None)
-    if first is None:
-        raise ValueError("zero vector is not a projective point")
-    if first == 1:
-        return tuple(coords)
-    scale = field.inv(first)
-    return tuple(field.mul(c, scale) for c in coords)
-
-
-def plucker_embed(basis: Mat) -> tuple[int, ...]:
-    """Normalized vector of maximal minors of a full-rank l x m basis."""
-    if basis.rank() != basis.rows:
-        raise ValueError("basis rows are linearly dependent")
-    return normalize_point(basis.field, maximal_minors(basis.field, basis.a[None])[0])
-
-
 def iter_grassmann_cells(ell: int, m: int, field: GF, chunk: int = 2048):
     """Yield (pivot tuple, bases (N,l,m), coords (N,K)) batches in canonical order."""
     for pivots, start, stop in rref_chunks(field.q, ell, m, chunk):
         bases = rref_batch(field.q, m, pivots, start, stop)
         yield tuple(p + 1 for p in pivots), bases, maximal_minors(field, bases)
-
-
-def enumerate_grassmann_points(
-    ell: int, m: int, field: GF, budget: int = DEFAULT_POINT_BUDGET
-) -> ProjSystem:
-    """All gaussian_binomial(m, ell, q) points of G(l, m)(F_q)."""
-    if not 1 <= ell <= m:
-        raise ValueError(f"need 1 <= ell <= m, got ell={ell}, m={m}")
-    expected = gaussian_binomial(m, ell, field.q)
-    if expected > budget:
-        raise BudgetExceededError(f"G({ell},{m})(F_{field.q}) point count", expected, budget)
-    ambient = len(enumerate_index_tuples(ell, m))
-    cells = iter_grassmann_cells(ell, m, field)
-    points = stack_rows((coords for _, _, coords in cells), expected, ambient)
-    if len(points) != expected:
-        raise RuntimeError(f"enumerated {len(points)} points of G({ell},{m}), expected {expected}")
-    return ProjSystem(field, ambient, points, zeros(field, 0, ambient), ell=ell, m=m)
-
-
-def subspace_of_point(coords, ell: int, m: int, field: GF) -> Mat:
-    """Canonical rref basis of the subspace with the given Plücker vector."""
-    tuples = enumerate_index_tuples(ell, m)
-    pos = index_positions(ell, m)
-    coords = [int(c) for c in coords]
-    if len(coords) != len(tuples):
-        raise ValueError("coordinate length mismatch")
-    first = next((i for i, c in enumerate(coords) if c), None)
-    if first is None:
-        raise ValueError("zero vector is not a projective point")
-    piv = tuples[first]
-    scale = field.inv(coords[first])
-    basis = np.zeros((ell, m), dtype=np.int64)
-    pivset = set(piv)
-    for i1, c in enumerate(piv, start=1):
-        basis[i1 - 1, c - 1] = 1
-        for j in range(1, m + 1):
-            if j in pivset:
-                continue
-            beta = tuple(sorted((pivset - {c}) | {j}))
-            val = field.mul(coords[pos[beta]], scale)
-            if (i1 + beta.index(j) + 1) % 2 == 1:
-                val = field.neg(val)
-            basis[i1 - 1, j - 1] = val
-    mat = Mat(field, basis)
-    if plucker_embed(mat) != normalize_point(field, coords):
-        raise ValueError("coordinates do not describe a point of the Grassmannian")
-    return mat
-
-
-# -- point list files --------------------------------------------------------
-
-
-def write_points_file(sys: ProjSystem, path: str) -> None:
-    if sys.ell is None or sys.m is None:
-        raise ValueError("system does not record (l, m)")
-    with open(path, "w") as fh:
-        fh.write(sys.field.header() + "\n")
-        fh.write(f"# plucker l={sys.ell} m={sys.m}\n")
-        np.savetxt(fh, sys.points, fmt="%d", delimiter=",")
-
-
-def read_points_file(path: str) -> ProjSystem:
-    with open(path) as fh:
-        lines = [line.rstrip("\n") for line in fh if line.strip()]
-    if len(lines) < 2 or not lines[0].startswith("# gf") or not lines[1].startswith("# plucker"):
-        raise SpecParseError(f"{path}: missing field/plucker headers")
-    field = parse_field_header(lines[0])
-    try:
-        kv = dict(item.split("=", 1) for item in lines[1].lstrip("#").split()[1:])
-        ell, m = int(kv["l"]), int(kv["m"])
-        ambient = len(enumerate_index_tuples(ell, m))
-    except (KeyError, ValueError) as exc:
-        raise SpecParseError(f"{path}: bad plucker header") from exc
-    points = []
-    for line in lines[2:]:
-        try:
-            point = tuple(int(c) for c in line.split(","))
-        except ValueError as exc:
-            raise SpecParseError(f"{path}: bad point entry") from exc
-        if len(point) != ambient:
-            raise SpecParseError(f"{path}: point of wrong length")
-        if any(not 0 <= c < field.q for c in point):
-            raise SpecParseError(f"{path}: point entries outside [0, {field.q})")
-        points.append(point)
-    return ProjSystem(field, ambient, points, zeros(field, 0, ambient), ell=ell, m=m)

@@ -98,10 +98,6 @@ class Mat:
             self._rref = (Mat(self.field, m), rank, pivots)
         return self._rref
 
-    def rref(self) -> tuple["Mat", int, tuple[int, ...]]:
-        """Reduced row echelon form, rank, pivot column indices."""
-        return self._reduced()
-
     def rank(self) -> int:
         return self._reduced()[1]
 
@@ -127,40 +123,8 @@ class Mat:
     def neg(self) -> "Mat":
         return Mat(self.field, self.field.neg_arr(self.a))
 
-    def det(self) -> int:
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        F = self.field
-        m = np.array(self.a)
-        n = self.rows
-        d = 1
-        for c in range(n):
-            nz = np.nonzero(m[c:, c])[0]
-            if nz.size == 0:
-                return 0
-            piv = c + int(nz[0])
-            if piv != c:
-                m[[c, piv]] = m[[piv, c]]
-                d = F.neg(d)
-            pv = int(m[c, c])
-            d = F.mul(d, pv)
-            inv = F.inv(pv)
-            below = m[c + 1 :, c]
-            mask = below != 0
-            if mask.any():
-                factors = F.mul_arr(below[mask], inv)
-                m[c + 1 :][mask] = F.sub_arr(
-                    m[c + 1 :][mask], F.mul_arr(factors[:, None], m[c][None, :])
-                )
-        return d
-
-
 def zeros(field: GF, rows: int, cols: int) -> Mat:
     return Mat(field, np.zeros((rows, cols), dtype=np.int64))
-
-
-def identity(field: GF, n: int) -> Mat:
-    return Mat(field, np.eye(n, dtype=np.int64))
 
 
 def vstack(mats: list[Mat]) -> Mat:
@@ -171,14 +135,6 @@ def vstack(mats: list[Mat]) -> Mat:
         if m.cols != mats[0].cols:
             raise ValueError("column-count mismatch")
     return Mat(field, np.concatenate([m.a for m in mats], axis=0))
-
-
-def row_space_equal(a: Mat, b: Mat) -> bool:
-    if a.field != b.field:
-        raise ValueError("mixed-field comparison")
-    if a.cols != b.cols:
-        raise ValueError("column-count mismatch")
-    return np.array_equal(a.rref_basis().a, b.rref_basis().a)
 
 
 def intersect_row_spaces(a: Mat, b: Mat) -> Mat:

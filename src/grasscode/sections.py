@@ -142,14 +142,6 @@ def symplectic_form(n: int, field: GF) -> SymplecticForm:
     return SymplecticForm(n, field, Mat(field, gram))
 
 
-def is_isotropic(basis: Mat, form: SymplecticForm) -> bool:
-    """True iff basis . gram . basis^T = 0."""
-    if basis.cols != form.gram.rows:
-        raise ValueError("basis width does not match the form")
-    prod_ = basis.field.matmul(basis.field.matmul(basis.a, form.gram.a), basis.a.T)
-    return not prod_.any()
-
-
 def _isotropic_mask(field: GF, bases: np.ndarray, form: SymplecticForm) -> np.ndarray:
     bg = field.matmul(bases, form.gram.a)
     bgb = field.matmul(bg, np.swapaxes(bases, 1, 2))
@@ -214,11 +206,6 @@ def pi_forms(n: int, field: GF) -> Mat:
 
 
 # -- Schubert membership ------------------------------------------------------
-
-
-def schubert_member_plucker(coords, lam: IndexTuple, ell: int, m: int) -> bool:
-    """Vanishing of every coordinate whose index is not Bruhat-below lam."""
-    return not any(coords[i] for i in _non_downset_positions([lam], ell, m))
 
 
 def flag_cells(field: GF, bases: np.ndarray) -> np.ndarray:

@@ -1,14 +1,18 @@
 from functools import lru_cache
 from itertools import product
 
-from grasscode.field import make_field
-from grasscode.linalg import Mat
+import numpy as np
+
+from grasscode.field import GF
+from grasscode.indices import downset, enumerate_index_tuples, index_positions
+from grasscode.linalg import Mat, maximal_minors
 from grasscode.sections import enumerate_variety, parse_variety_spec
 
 
 @lru_cache(maxsize=None)
 def field(p, e=1):
-    return make_field(p, e)
+    """GF(p^e) with the lexicographically smallest irreducible modulus."""
+    return GF(p, e)
 
 
 @lru_cache(maxsize=None)
@@ -87,3 +91,133 @@ def dr_reference(code, r):
         return out
 
     return best(0, {(0,) * n}, 0, 0)
+
+
+# -- polynomial arithmetic on base-p digits, the reference for the field tables --
+
+
+def _digits(v, p, n):
+    """n base-p digits of v, least significant first."""
+    out = []
+    for _ in range(n):
+        v, r = divmod(v, p)
+        out.append(r)
+    return out
+
+
+def _encode(digits, p):
+    v = 0
+    for d in reversed(digits):
+        v = v * p + d
+    return v
+
+
+def scalar_add_poly(f, a, b):
+    p = f.p
+    da, db = _digits(a, p, f.e), _digits(b, p, f.e)
+    return _encode([(x + y) % p for x, y in zip(da, db)], p)
+
+
+def scalar_mul_poly(f, a, b):
+    p, e = f.p, f.e
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(_digits(a, p, e)):
+        for j, y in enumerate(_digits(b, p, e)):
+            prod[i + j] += x * y
+    # long division by the monic modulus, top coefficient first
+    for k in range(2 * e - 2, e - 1, -1):
+        c = prod[k] % p
+        for i, m in enumerate(f.modulus):
+            prod[k - e + i] -= c * m
+    return _encode([c % p for c in prod[:e]], p)
+
+
+def det(mat):
+    """Determinant of a square Mat by elimination, one scalar pivot at a time."""
+    if mat.rows != mat.cols:
+        raise ValueError("determinant of non-square matrix")
+    F = mat.field
+    m = np.array(mat.a)
+    d = 1
+    for c in range(mat.rows):
+        nz = np.nonzero(m[c:, c])[0]
+        if nz.size == 0:
+            return 0
+        piv = c + int(nz[0])
+        if piv != c:
+            m[[c, piv]] = m[[piv, c]]
+            d = F.neg(d)
+        pv = int(m[c, c])
+        d = F.mul(d, pv)
+        inv = F.inv(pv)
+        below = m[c + 1 :, c]
+        mask = below != 0
+        if mask.any():
+            factors = F.mul_arr(below[mask], inv)
+            m[c + 1 :][mask] = F.sub_arr(m[c + 1 :][mask], F.mul_arr(factors[:, None], m[c][None, :]))
+    return d
+
+
+# -- one point at a time: the Plücker embedding, its inverse and membership ----
+
+
+def normalize_point(f, coords):
+    coords = [int(c) for c in coords]
+    first = next((c for c in coords if c), None)
+    if first is None:
+        raise ValueError("zero vector is not a projective point")
+    if first == 1:
+        return tuple(coords)
+    scale = f.inv(first)
+    return tuple(f.mul(c, scale) for c in coords)
+
+
+def plucker_embed(basis):
+    """Normalized vector of maximal minors of a full-rank l x m basis."""
+    if basis.rank() != basis.rows:
+        raise ValueError("basis rows are linearly dependent")
+    return normalize_point(basis.field, maximal_minors(basis.field, basis.a[None])[0])
+
+
+def subspace_of_point(coords, ell, m, f):
+    """Canonical rref basis of the subspace with the given Plücker vector."""
+    tuples = enumerate_index_tuples(ell, m)
+    pos = index_positions(ell, m)
+    coords = [int(c) for c in coords]
+    if len(coords) != len(tuples):
+        raise ValueError("coordinate length mismatch")
+    first = next((i for i, c in enumerate(coords) if c), None)
+    if first is None:
+        raise ValueError("zero vector is not a projective point")
+    piv = tuples[first]
+    scale = f.inv(coords[first])
+    basis = np.zeros((ell, m), dtype=np.int64)
+    pivset = set(piv)
+    for i1, c in enumerate(piv, start=1):
+        basis[i1 - 1, c - 1] = 1
+        for j in range(1, m + 1):
+            if j in pivset:
+                continue
+            beta = tuple(sorted((pivset - {c}) | {j}))
+            val = f.mul(coords[pos[beta]], scale)
+            if (i1 + beta.index(j) + 1) % 2 == 1:
+                val = f.neg(val)
+            basis[i1 - 1, j - 1] = val
+    mat = Mat(f, basis)
+    if plucker_embed(mat) != normalize_point(f, coords):
+        raise ValueError("coordinates do not describe a point of the Grassmannian")
+    return mat
+
+
+def schubert_member_plucker(coords, lam, ell, m):
+    """Vanishing of every coordinate whose index is not Bruhat-below lam."""
+    below = set(downset(lam, m))
+    return not any(c for c, beta in zip(coords, enumerate_index_tuples(ell, m)) if beta not in below)
+
+
+def is_isotropic(basis, form):
+    """True iff basis . gram . basis^T = 0."""
+    if basis.cols != form.gram.rows:
+        raise ValueError("basis width does not match the form")
+    prod_ = basis.field.matmul(basis.field.matmul(basis.a, form.gram.a), basis.a.T)
+    return not prod_.any()

@@ -17,6 +17,7 @@ from grasscode.bounds import (
     section_code_params_check,
 )
 from grasscode.codes import build_code, higher_weight, min_distance
+from grasscode.grassmann import ProjSystem
 from grasscode.indices import enumerate_index_tuples, is_close_family
 from grasscode.sections import linear_hull
 
@@ -54,30 +55,26 @@ def test_sandwich_all_inputs_exhaustive(q):
     assert dim_v == 5
     for r in (1, 2):
         rprime = 6 - dim_v + r
-        computed = {
-            "L": len(lsys.points),
-            "G": len(gsys.points),
-            "dimV": dim_v,
-            "d_r_L": higher_weight(lcode, r),
-            "d_rp_G": higher_weight(gcode, rprime),
-        }
-        reports = lagrangian_dr_sandwich(2, q, r, computed)
+        reports = lagrangian_dr_sandwich(
+            2,
+            q,
+            r,
+            L=len(lsys.points),
+            G=len(gsys.points),
+            dim_v=dim_v,
+            d_r_L=higher_weight(lcode, r),
+            d_rp_G=higher_weight(gcode, rprime),
+        )
         assert len(reports) == 2
         assert all(rep.holds for rep in reports)
 
 
 def test_sandwich_spec_example_numbers():
     # n=2, q=2, r=1: 15 - 35 + 24 = 4 <= 6 <= 15 - 5 + 1 = 11
-    computed = {"L": 15, "G": 35, "dimV": 5, "d_r_L": 6, "d_rp_G": 24}
-    lower, upper = lagrangian_dr_sandwich(2, 2, 1, computed)
+    lower, upper = lagrangian_dr_sandwich(2, 2, 1, L=15, G=35, dim_v=5, d_r_L=6, d_rp_G=24)
     assert (lower.lhs, lower.rhs) == (4, 6) and lower.holds
     assert (upper.lhs, upper.rhs) == (6, 11) and upper.holds
-
-    not_eval = lagrangian_dr_sandwich(2, 2, 1, {"L": 15, "G": 35, "dimV": 5, "d_r_L": 6, "d_rp_G": None})
-    assert len(not_eval) == 1 and not_eval[0].holds is None
-
-    with pytest.raises(ValueError):
-        lagrangian_dr_sandwich(2, 2, 1, {"L": 15})
+    assert lower.params == upper.params == {"n": 2, "q": 2, "r": 1, "rprime": 2}
 
 
 def test_cap_check():
@@ -151,30 +148,30 @@ def test_section_code_params_degenerate():
     assert reports[0].holds is None and "degenerate" in reports[0].note
 
 
+def _mindist_reports(spec):
+    system = variety(spec, 2)
+    return mindist_bound_checks(system, min_distance(build_code(system)))
+
+
 def test_mindist_bound_checks():
-    lcode = build_code(variety("lagrangian:2", 2))
-    (rep,) = mindist_bound_checks(lcode)
+    (rep,) = _mindist_reports("lagrangian:2")
     assert (rep.lhs, rep.relation, rep.rhs) == (6, "<", 8) and rep.holds
 
-    gcode = build_code(variety("grassmann:2,4", 2))
-    (rep,) = mindist_bound_checks(gcode)
+    (rep,) = _mindist_reports("grassmann:2,4")
     assert (rep.lhs, rep.relation, rep.rhs) == (16, "==", 16) and rep.holds
 
-    top = build_code(variety("schubert:2,4:3,4", 2))
-    (rep,) = mindist_bound_checks(top)
+    (rep,) = _mindist_reports("schubert:2,4:3,4")
     assert (rep.lhs, rep.relation, rep.rhs) == (16, "<=", 16) and rep.holds
 
-    lag_s = build_code(variety("lag-schubert:2:2,4", 2))
-    (rep,) = mindist_bound_checks(lag_s)
+    (rep,) = _mindist_reports("lag-schubert:2:2,4")
     assert rep.holds and rep.rhs == 2**2
 
-    iso = build_code(variety("isotropic:2,3", 2))
-    assert mindist_bound_checks(iso, d=min_distance(iso)) == []
+    assert _mindist_reports("isotropic:2,3") == []
 
-    unknown = build_code(variety("grassmann:2,4", 2))
-    unknown.provenance = None
+    gsys = variety("grassmann:2,4", 2)
+    unknown = ProjSystem(gsys.field, gsys.ambient_dim, gsys.points, gsys.defining_forms)
     with pytest.raises(ValueError):
-        mindist_bound_checks(unknown, d=16)
+        mindist_bound_checks(unknown, 16)
 
 
 def test_run_suite_small_grid(monkeypatch):

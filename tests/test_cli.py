@@ -1,7 +1,9 @@
 import contextlib
+import hashlib
 import io
 import json
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,9 +12,7 @@ from conftest import variety
 from grasscode.bounds import BoundReport
 from grasscode.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
 from grasscode.codes import build_code, write_code_file
-from grasscode.errors import SpecParseError
 from grasscode.field import GF
-from grasscode.grassmann import enumerate_grassmann_points, read_points_file, write_points_file
 
 
 def run_cli(capsys, *argv):
@@ -56,6 +56,16 @@ def test_count_with_p_e(capsys):
     code, out, _ = run_cli(capsys, "count", "grassmann:2,4", "--p", "2", "--e", "2")
     assert code == EXIT_OK
     assert out.strip().startswith("count=357 ")  # gaussian_binomial(4,2,4)
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [("--q", "4", "--e", "3"), ("--p", "2", "--e", "0"), ("--q", "4", "--p", "3")],
+    ids=" ".join,
+)
+def test_count_field_flags_must_agree(capsys, flags):
+    code, out, err = run_cli(capsys, "count", "grassmann:2,4", *flags)
+    assert code == EXIT_PARSE and out == "" and err.startswith("error: ")
 
 
 def test_count_spec_flag(capsys):
@@ -246,6 +256,24 @@ def test_verify_empty_close_family_section(capsys):
         assert all(r["holds"] is None and r["lhs"] is None for r in empty)
 
 
+# SHA-256 of the whole stdout.  Budget 10 leaves the Lagrangian codeword scan
+# unevaluated, 40 the sandwich at r = 2 and the caps, 200 the Grassmann d_r at
+# r = 2, 3; G(2,2) has k = 1, so its r = 2 claim is unevaluated at every budget.
+@pytest.mark.parametrize(
+    "budget,digest",
+    [
+        ("10", "e3b605e949aefa5afa9ce4556c40715ec10c08f1f5b424c5c2093d0c9662af66"),
+        ("40", "c704f4dd6a956e305153aa2bd1040ebbff4ff85c5059940776d5320fb776cea5"),
+        ("200", "d72cbe5884f644a7c58a8df3b6f859f6d9c74ce2f04a89000ee446ea182b96e5"),
+    ],
+)
+def test_verify_unevaluated_reports_pinned(capsys, budget, digest):
+    argv = ("verify", "--q", "2", "--grassmann", "2,2;2,4", "--lagrangian-n", "2", "--budget-scans", budget)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK and "not evaluated" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_verify_empty_grid(capsys):
     code, out, _ = run_cli(capsys, "verify")
     assert code == EXIT_OK
@@ -280,9 +308,9 @@ EDITS = st.lists(
 )
 
 
-def _mutate(text: str, edits, sep: str) -> str:
-    """Apply token edits: header items split on spaces, data rows on sep."""
-    lines = [line.split(" " if i < 2 else sep) for i, line in enumerate(text.splitlines())]
+def _mutate(text: str, edits) -> str:
+    """Apply token edits to the space-separated tokens of each line."""
+    lines = [line.split(" ") for line in text.splitlines()]
     for kind, line_no, token_no, value in edits:
         if kind == "drop-equals":
             line = lines[line_no % 2]
@@ -297,7 +325,7 @@ def _mutate(text: str, edits, sep: str) -> str:
             del line[i]
         elif kind == "duplicate":
             line.insert(i, line[i])
-    return "\n".join((" " if i < 2 else sep).join(line) for i, line in enumerate(lines)) + "\n"
+    return "\n".join(" ".join(line) for line in lines) + "\n"
 
 
 @settings(derandomize=True, deadline=None, max_examples=60)
@@ -305,22 +333,9 @@ def _mutate(text: str, edits, sep: str) -> str:
 def test_mutated_code_files_exit_cleanly(tmp_path_factory, edits):
     path = tmp_path_factory.mktemp("code") / "g24.code"
     write_code_file(build_code(variety("grassmann:2,4", 2)), str(path))
-    path.write_text(_mutate(path.read_text(), edits, " "))
+    path.write_text(_mutate(path.read_text(), edits))
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert main(["weights", str(path), "--r-max", "2"]) in (EXIT_OK, EXIT_PARSE, EXIT_BUDGET)
-
-
-@settings(derandomize=True, deadline=None, max_examples=60)
-@given(edits=EDITS)
-def test_mutated_point_files_parse_or_raise_parse_error(tmp_path_factory, edits):
-    path = tmp_path_factory.mktemp("points") / "g24.txt"
-    write_points_file(enumerate_grassmann_points(2, 4, GF(3, 1)), str(path))
-    path.write_text(_mutate(path.read_text(), edits, ","))
-    try:
-        system = read_points_file(str(path))
-    except SpecParseError:
-        return
-    assert all(len(point) == system.ambient_dim for point in system.points)
 
 
 # -- the exit-code contract under generated variety specs and verify grids ----

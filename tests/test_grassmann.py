@@ -3,18 +3,12 @@ import random
 import numpy as np
 import pytest
 
-from conftest import field, point_set
-from grasscode.errors import BudgetExceededError, SpecParseError
-from grasscode.grassmann import (
-    ProjSystem,
-    enumerate_grassmann_points,
-    plucker_embed,
-    read_points_file,
-    subspace_of_point,
-    write_points_file,
-)
+from conftest import field, plucker_embed, point_set, subspace_of_point, variety
+from grasscode.errors import BudgetExceededError
+from grasscode.grassmann import ProjSystem
 from grasscode.indices import gaussian_binomial
 from grasscode.linalg import Mat, zeros
+from grasscode.sections import enumerate_variety, parse_variety_spec
 
 
 def test_plucker_examples():
@@ -25,7 +19,7 @@ def test_plucker_examples():
     mixed = Mat(f2, [[1, 0, 1, 0], [0, 1, 0, 1]])
     assert plucker_embed(mixed) == (1, 0, 1, 1, 0, 1)
 
-    echelon = mixed.rref()[0]
+    echelon = mixed.rref_basis()
     assert plucker_embed(echelon) == plucker_embed(mixed)
 
 
@@ -55,9 +49,8 @@ def test_plucker_rejects_dependent_rows():
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
 def test_counts_injectivity_nondegeneracy(m, q):
-    f = field(q)
     for ell in range(1, m + 1):
-        system = enumerate_grassmann_points(ell, m, f)
+        system = variety(f"grassmann:{ell},{m}", q)
         expected = gaussian_binomial(m, ell, q)
         assert len(system.points) == expected
         assert len(point_set(system)) == expected
@@ -66,7 +59,7 @@ def test_counts_injectivity_nondegeneracy(m, q):
 
 def test_points_are_one_read_only_array():
     f3 = field(3)
-    system = enumerate_grassmann_points(2, 4, f3)
+    system = variety("grassmann:2,4", 3)
     assert system.points.shape == (130, 6) and system.points.dtype == np.int64
     with pytest.raises(ValueError):
         system.points[0, 0] = 2
@@ -83,22 +76,22 @@ def test_points_are_one_read_only_array():
 
 
 def test_projective_line_example():
-    system = enumerate_grassmann_points(1, 2, field(2))
+    system = variety("grassmann:1,2", 2)
     assert len(system.points) == 3
 
 
 def test_roundtrip_g24_f2():
     f2 = field(2)
-    system = enumerate_grassmann_points(2, 4, f2)
+    system = variety("grassmann:2,4", 2)
     for point in system.points:
         basis = subspace_of_point(point, 2, 4, f2)
-        assert basis.rref()[0] == basis
+        assert basis.rref_basis() == basis
         assert plucker_embed(basis) == tuple(point)
 
 
 def test_roundtrip_g13_f3():
     f3 = field(3)
-    system = enumerate_grassmann_points(1, 3, f3)
+    system = variety("grassmann:1,3", 3)
     for point in system.points:
         assert plucker_embed(subspace_of_point(point, 1, 3, f3)) == tuple(point)
 
@@ -113,40 +106,4 @@ def test_subspace_of_point_rejects_non_points():
 
 def test_budget_guard():
     with pytest.raises(BudgetExceededError):
-        enumerate_grassmann_points(2, 4, field(2), budget=10)
-
-
-def test_points_file_roundtrip(tmp_path):
-    f3 = field(3)
-    system = enumerate_grassmann_points(2, 4, f3)
-    path = tmp_path / "points.txt"
-    write_points_file(system, str(path))
-    text = path.read_text().splitlines()
-    assert text[0] == "# gf p=3 e=1 modulus=0,1"
-    assert text[1] == "# plucker l=2 m=4"
-    back = read_points_file(str(path))
-    assert back.field == f3
-    assert np.array_equal(back.points, system.points)
-    again = tmp_path / "again.txt"
-    write_points_file(back, str(again))
-    assert again.read_bytes() == path.read_bytes()
-
-    with pytest.raises(SpecParseError):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("# nope\n")
-        read_points_file(str(bad))
-    bad = tmp_path / "bad_plucker.txt"
-    for header in ("# plucker l=2 m", "# gf p=3 e=1 modulus"):
-        lines = text[:2]
-        lines[1 if "plucker" in header else 0] = header
-        bad.write_text("\n".join(lines) + "\n")
-        with pytest.raises(SpecParseError):
-            read_points_file(str(bad))
-
-
-@pytest.mark.parametrize("row,message", [("1,0,x,0,0,0", "bad point entry"), ("1,0,3,0,0,0", "outside")])
-def test_points_file_bad_entry(tmp_path, row, message):
-    bad = tmp_path / "bad_entry.txt"
-    bad.write_text(f"# gf p=3 e=1 modulus=0,1\n# plucker l=2 m=4\n{row}\n")
-    with pytest.raises(SpecParseError, match=message):
-        read_points_file(str(bad))
+        enumerate_variety(parse_variety_spec("grassmann:2,4"), field(2), 10)

@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from grasscode.field import make_field
+from grasscode.field import GF
 from grasscode.indices import (
     bruhat_leq,
     delete_pair,
@@ -51,7 +51,7 @@ def test_bruhat_is_partial_order(m):
 
 def _count_subspaces_bruteforce(m, ell, q):
     """Row spaces of all full-rank ell x m matrices, deduplicated by span."""
-    field = make_field(q, 1)
+    field = GF(q, 1)
     spans = set()
     for entries in product(range(q), repeat=ell * m):
         rows = np.array(entries, dtype=np.int64).reshape(ell, m)

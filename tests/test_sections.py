@@ -5,18 +5,26 @@ import numpy as np
 import pytest
 
 import grasscode.grassmann as grassmann
-from conftest import bruhat_cell_of, field, point_set, schubert_member_flag, variety
+from conftest import (
+    bruhat_cell_of,
+    field,
+    is_isotropic,
+    point_set,
+    schubert_member_flag,
+    schubert_member_plucker,
+    subspace_of_point,
+    variety,
+)
 from grasscode.errors import SpecParseError
-from grasscode.grassmann import ProjSystem, subspace_of_point
+from grasscode.grassmann import ProjSystem
 from grasscode.indices import enumerate_index_tuples, index_positions
-from grasscode.linalg import Mat, maximal_minors, row_space_equal, rref_batch, rref_free_positions, zeros
+from grasscode.linalg import Mat, maximal_minors, rref_batch, rref_free_positions, zeros
 from grasscode.sections import (
     cell_histogram,
     combinatorial_dimension,
     contraction_matrix,
     enumerate_variety,
     flag_cells,
-    is_isotropic,
     isotropic_count,
     lagrangian_count,
     linear_hull,
@@ -24,7 +32,6 @@ from grasscode.sections import (
     parse_variety_spec,
     pi_forms,
     schubert_count,
-    schubert_member_plucker,
     schubert_union_count,
     symplectic_form,
     verify_ffn,
@@ -215,7 +222,7 @@ def test_linear_hull_examples():
     lsys = variety("lagrangian:2", 2)
     dim, forms = linear_hull(lsys)
     assert dim == 5
-    assert row_space_equal(forms, pi_forms(2, f2))
+    assert forms.rref_basis() == pi_forms(2, f2).rref_basis()
 
     single = ProjSystem(f2, 6, [gsys.points[0]], zeros(f2, 0, 6), ell=2, m=4)
     assert linear_hull(single)[0] == 1
