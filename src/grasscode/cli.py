@@ -1,7 +1,8 @@
 """Command-line surface: count, build, weights, verify.
 
-Exit codes: 0 success, 2 parse error, 3 budget exceeded, 4 verification
-failure.  The environment variable GRASSCODE_BUDGET overrides the default
+Exit codes: 0 success, 2 parse error (unreadable input and unwritable
+output paths included), 3 budget exceeded, 4 verification failure.  The
+environment variable GRASSCODE_BUDGET overrides the default
 point and scan budgets; explicit --budget-* flags win over both.
 """
 
@@ -149,6 +150,8 @@ def cmd_build(args) -> int:
     config = _resolve_config(args, need_field=True)
     spec = parse_variety_spec(_spec_from_args(args))
     system = enumerate_variety(spec, config.field, config.budget_points)
+    if not len(system):
+        raise SpecParseError(f"{spec.serialize()} has no rational points over GF({config.field.q})")
     code = build_code(system)
     write_code_file(code, args.out)
     print(f"wrote {args.out}: n={code.n} k={code.k}")
@@ -286,15 +289,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except SpecParseError as exc:
+    except (SpecParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except OSError as exc:
-        print(f"i/o error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

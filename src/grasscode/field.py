@@ -246,13 +246,6 @@ class GF:
             return (x - y) % self.p
         return self._digitwise(np.asarray(x), np.asarray(y), -1)
 
-    def neg_arr(self, x):
-        if self.p == 2:
-            return np.array(x, dtype=np.int64, copy=True)
-        if self.e == 1:
-            return (-np.asarray(x)) % self.p
-        return self._digitwise(0, np.asarray(x), -1)
-
     def mul_arr(self, x, y):
         if self.q == 2:
             return np.bitwise_and(x, y)

@@ -120,8 +120,6 @@ class Mat:
         """Canonical basis (rows) of {x : self @ x^T = 0}."""
         return Mat(self.field, self.a.T).left_kernel()
 
-    def neg(self) -> "Mat":
-        return Mat(self.field, self.field.neg_arr(self.a))
 
 def zeros(field: GF, rows: int, cols: int) -> Mat:
     return Mat(field, np.zeros((rows, cols), dtype=np.int64))
@@ -145,8 +143,8 @@ def intersect_row_spaces(a: Mat, b: Mat) -> Mat:
         raise ValueError("column-count mismatch")
     if a.rows == 0 or b.rows == 0:
         return zeros(a.field, 0, a.cols)
-    stacked = vstack([a, b.neg()])
-    pairs = stacked.left_kernel()
+    # u a + v b = 0 puts u a = -v b in both row spaces
+    pairs = vstack([a, b]).left_kernel()
     u = pairs.a[:, : a.rows]
     inter = a.field.matmul(u, a.a)
     return Mat(a.field, inter).rref_basis()

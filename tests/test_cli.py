@@ -73,7 +73,7 @@ def test_count_spec_flag(capsys):
     assert code == EXIT_OK and "count=15" in out
 
 
-def test_parse_errors(capsys):
+def test_parse_errors(tmp_path, capsys):
     code, _, err = run_cli(capsys, "count", "bogus:1", "--q", "2")
     assert code == EXIT_PARSE and "error" in err
     code, _, err = run_cli(capsys, "count", "grassmann:2,4")
@@ -83,6 +83,16 @@ def test_parse_errors(capsys):
     # a large prime is refused by size, before any trial division
     code, _, err = run_cli(capsys, "count", "grassmann:2,4", "--q", str(2**61 - 1))
     assert code == EXIT_PARSE and "exceeds supported limit" in err
+    # unreadable input and unwritable output paths are parse errors too
+    undecodable = tmp_path / "bytes.code"
+    undecodable.write_bytes(b"\xff\xfe")
+    for argv in (
+        ("weights", str(undecodable)),
+        ("weights", str(tmp_path / "missing.code")),
+        ("build", "grassmann:2,4", "--q", "2", "--out", str(tmp_path / "no" / "x.code")),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_PARSE and err.startswith("error: ")
 
 
 def _weights_on_file(tmp_path, capsys, text, *flags):
@@ -200,6 +210,14 @@ def test_build_elambda_example(tmp_path, capsys):
         capsys, "build", "elambda:2,4:1,2;1,3", "--q", "2", "--out", str(out_file)
     )
     assert code == EXIT_OK and "n=11 k=4" in out
+
+
+@pytest.mark.parametrize("spec", ["isotropic:3,2", "elambda:2,4:1,2;1,3;1,4;2,3;2,4;3,4"])
+def test_build_without_rational_points_is_a_parse_error(spec, tmp_path, capsys):
+    out_file = tmp_path / "empty.code"
+    code, out, err = run_cli(capsys, "build", spec, "--q", "2", "--out", str(out_file))
+    assert code == EXIT_PARSE and out == "" and not out_file.exists()
+    assert err == f"error: {spec} has no rational points over GF(2)\n"
 
 
 def test_weights_worker_independence(tmp_path, capsys):
@@ -368,6 +386,7 @@ SPEC_SHAPES = {
 
 @settings(derandomize=True, deadline=None, max_examples=150)
 @given(
+    command=st.sampled_from(["count", "build"]),
     kind=st.sampled_from(sorted(SPEC_SHAPES)),
     a=SMALL_INT,
     b=SMALL_INT,
@@ -376,10 +395,12 @@ SPEC_SHAPES = {
     junk=st.one_of(st.just(""), st.sampled_from([":", ",", ";", "x"])),
     q=st.sampled_from(["2", "3", "4", "6", "1", "0", "x", "65537"]),
 )
-def test_generated_specs_exit_cleanly(kind, a, b, tuples, at, junk, q):
+def test_generated_specs_exit_cleanly(tmp_path_factory, command, kind, a, b, tuples, at, junk, q):
     # a spec of the kind's shape with small, possibly invalid numbers, and maybe one stray character
     text = f"{kind}:" + SPEC_SHAPES[kind].format(a=a, b=b, t=tuples)
-    argv = ["count", text[:at] + junk + text[at:], "--q", q, "--budget-points", "3000"]
+    argv = [command, text[:at] + junk + text[at:], "--q", q, "--budget-points", "3000"]
+    if command == "build":
+        argv += ["--out", str(tmp_path_factory.mktemp("build") / "x.code")]
     assert _quiet_main(argv) in CLEAN_EXITS
 
 

@@ -62,6 +62,16 @@ def test_min_distance_examples():
         min_distance(gcode, "nonsense")
 
 
+@pytest.mark.parametrize("method", ["codewords", "hyperplanes"])
+def test_weight_profile_makes_one_r1_pass(method, monkeypatch):
+    # n minus the most zeros of a codeword is its least weight: both methods read the memoized pass
+    calls = []
+    scan = codes._scan
+    monkeypatch.setattr(codes, "_scan", lambda code, r, *rest: calls.append(r) or scan(code, r, *rest))
+    profile = weight_profile(build_code(variety("grassmann:2,4", 2)), r_max=1, method=method)
+    assert calls == [1] and profile.d == profile.higher_weights[0] == 16
+
+
 def test_min_distance_budget():
     gcode = build_code(variety("grassmann:2,4", 2))
     with pytest.raises(BudgetExceededError):
@@ -91,7 +101,7 @@ def test_higher_weight_examples():
 def test_oracle_agreement_exhaustive(spec, q):
     code = build_code(variety(spec, q))
     assert q**code.k <= 2**12
-    assert min_distance(code, "codewords") == min_distance(code, "hyperplanes")
+    assert min_distance(code, "codewords") == min_distance(code, "hyperplanes") == dr_reference(code, 1)
     # the pure-Python reference is exponential in r; these sizes take well under a second
     for r in range(1, {2: 3, 3: 2}[q] + 1):
         assert higher_weight(code, r) == dr_reference(code, r)
@@ -212,6 +222,9 @@ def test_read_code_file_errors(tmp_path):
     bad.write_text("# gf p=2 e=1 modulus=0,1\n# code n=3 k=1 source=unknown\n1 1\n")
     with pytest.raises(SpecParseError):
         read_code_file(str(bad))  # shape mismatch
+    bad.write_bytes(b"\xff\xfe")
+    with pytest.raises(SpecParseError, match="not a text file"):
+        read_code_file(str(bad))
 
 
 def test_weight_profile_consistency():

@@ -198,14 +198,12 @@ def test_large_field_array_ops_match_polynomials(f):
     y = np.array(ys, dtype=np.int64)
     assert f.mul_arr(x, y).tolist() == [scalar_mul_poly(f, a, b) for a, b in zip(xs, ys)]
     assert f.add_arr(x, y).tolist() == [scalar_add_poly(f, a, b) for a, b in zip(xs, ys)]
-    neg = f.neg_arr(x).tolist()
-    assert all(scalar_add_poly(f, a, n) == 0 for a, n in zip(xs, neg))
     diff = f.sub_arr(x, y).tolist()
     assert all(scalar_add_poly(f, d, b) == a for a, b, d in zip(xs, ys, diff))
     # the scalar operations use the same tables
     assert [f.mul(a, b) for a, b in zip(xs, ys)] == f.mul_arr(x, y).tolist()
     assert [f.add(a, b) for a, b in zip(xs, ys)] == f.add_arr(x, y).tolist()
-    assert [f.neg(a) for a in xs] == neg
+    assert all(scalar_add_poly(f, a, f.neg(a)) == 0 for a in xs)
     for a in xs:
         if a:
             assert scalar_mul_poly(f, a, f.inv(a)) == 1

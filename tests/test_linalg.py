@@ -131,7 +131,7 @@ def _span_set(field, mat):
     return vecs
 
 
-@pytest.mark.parametrize("field", [F2, F3])
+@pytest.mark.parametrize("field", [F2, F3, GF(3, 2), GF(5, 1)])
 def test_intersect_row_spaces_against_enumeration(field):
     rng = random.Random(31 + field.q)
     for _ in range(20):

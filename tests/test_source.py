@@ -10,6 +10,7 @@ SOURCES = sorted(Path(grasscode.__file__).parent.glob("*.py"))
 UNREFERENCED_ALLOWED = {
     "cli.main": "the console-script entry point, called from outside the package",
     "field.GF.mul": "the scalar product: the tests check mul_arr and the tables against it",
+    "field.GF.sub": "the scalar difference: the tests check sub_arr against it",
 }
 
 
@@ -22,40 +23,50 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
+ANY_REFERENCE = (ast.Name, ast.Attribute)
+# a method is reached only as x.name: a local variable spelled like it is no reference
+METHOD_REFERENCE = (ast.Attribute,)
+
+
 def _definitions(tree, prefix):
-    """(dotted name, node) of every function and method under tree, nested ones included."""
-    stack = [(prefix, tree)]
+    """(dotted name, node, reference kinds) of every function and method under tree, nested ones included."""
+    stack = [(prefix, tree, ANY_REFERENCE)]
     while stack:
-        prefix, node = stack.pop()
+        prefix, node, kinds = stack.pop()
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if not isinstance(child, ast.ClassDef):
-                    yield prefix + child.name, child
-                stack.append((prefix + child.name + ".", child))
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                yield prefix + child.name, child, kinds
+                stack.append((prefix + child.name + ".", child, ANY_REFERENCE))
+            elif isinstance(child, ast.ClassDef):
+                stack.append((prefix + child.name + ".", child, METHOD_REFERENCE))
             else:
-                stack.append((prefix, child))
+                stack.append((prefix, child, kinds))
 
 
-def _names(node) -> Counter:
-    """Every ast.Name id and ast.Attribute attr under node."""
+def _names(node, kinds) -> Counter:
+    """Every ast.Name id and ast.Attribute attr under node, for the node types in kinds."""
     return Counter(
         sub.id if isinstance(sub, ast.Name) else sub.attr
         for sub in ast.walk(node)
-        if isinstance(sub, (ast.Name, ast.Attribute))
+        if isinstance(sub, kinds)
     )
 
 
 def test_every_library_function_has_a_library_reference():
     # code that only the tests call belongs in tests/conftest.py; a reference is
-    # any Name or Attribute spelled like the function, outside its own body
+    # a Name or Attribute spelled like the function (an Attribute for a method),
+    # outside its own body
     trees = {path.stem: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
-    everywhere = sum((_names(tree) for tree in trees.values()), Counter())
+    everywhere = {
+        kinds: sum((_names(tree, kinds) for tree in trees.values()), Counter())
+        for kinds in (ANY_REFERENCE, METHOD_REFERENCE)
+    }
     unreferenced = [
         dotted
         for module, tree in trees.items()
-        for dotted, node in _definitions(tree, module + ".")
+        for dotted, node, kinds in _definitions(tree, module + ".")
         if not (node.name.startswith("__") and node.name.endswith("__"))
-        and everywhere[node.name] == _names(node)[node.name]
+        and everywhere[kinds][node.name] == _names(node, kinds)[node.name]
         and dotted not in UNREFERENCED_ALLOWED
     ]
     assert unreferenced == []
