@@ -9,6 +9,7 @@ point and scan budgets; explicit --budget-* flags win over both.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -158,23 +159,35 @@ def cmd_build(args) -> int:
     return EXIT_OK
 
 
+def _open_out(path):
+    """The --out file opened for writing, or a null context without one.
+
+    Opened before the work starts, so an unwritable path exits 2 with
+    nothing on stdout.
+    """
+    return open(path, "w") if path else contextlib.nullcontext()
+
+
+def _emit(text: str, out) -> None:
+    print(text)
+    if out is not None:
+        out.write(text + "\n")
+
+
 def cmd_weights(args) -> int:
     config = _resolve_config(args, need_field=False)
     code = read_code_file(args.codefile)
     if not 0 <= args.r_max <= code.k:
         raise SpecParseError(f"--r-max must be in 0..{code.k}, got {args.r_max}")
-    profile = weight_profile(
-        code,
-        r_max=args.r_max,
-        method=args.method,
-        workers=config.workers,
-        budget=config.budget_scans,
-    )
-    text = json.dumps(profile.to_json_dict(), indent=2)
-    print(text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+    with _open_out(args.out) as out:
+        profile = weight_profile(
+            code,
+            r_max=args.r_max,
+            method=args.method,
+            workers=config.workers,
+            budget=config.budget_scans,
+        )
+        _emit(json.dumps(profile.to_json_dict(), indent=2), out)
     return EXIT_OK
 
 
@@ -208,23 +221,20 @@ def cmd_verify(args) -> int:
         raise SpecParseError(f"--lagrangian-n values must be >= 2, got {args.lagrangian_n}")
     for ell, m in grassmann:
         parse_variety_spec(f"grassmann:{ell},{m}")
-    reports = run_suite(
-        fields,
-        grassmann_pairs=grassmann,
-        lagrangian_ns=lagrangian,
-        budget_points=config.budget_points,
-        budget_scans=config.budget_scans,
-        workers=config.workers,
-    )
-    payload = {
-        "reports": [rep.to_json_dict() for rep in reports],
-        "disputed": [rep.claim for rep in reports if rep.disputed],
-    }
-    text = json.dumps(payload, indent=2)
-    print(text)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
+    with _open_out(args.out) as out:
+        reports = run_suite(
+            fields,
+            grassmann_pairs=grassmann,
+            lagrangian_ns=lagrangian,
+            budget_points=config.budget_points,
+            budget_scans=config.budget_scans,
+            workers=config.workers,
+        )
+        payload = {
+            "reports": [rep.to_json_dict() for rep in reports],
+            "disputed": [rep.claim for rep in reports if rep.disputed],
+        }
+        _emit(json.dumps(payload, indent=2), out)
     failed = [rep for rep in reports if rep.holds is False and not rep.disputed]
     return EXIT_VERIFY if failed else EXIT_OK
 

@@ -10,7 +10,15 @@ For r = 1 there is one normalized message per projective class of
 codewords, and one pass over them (memoized on the ``LinearCode``)
 gives the tally of class weights, hence ``d``, ``d_1`` and the weight
 enumerator, and while it fits in ``TABLE_BYTES`` a table of packed
-support bitmasks, one row per class in canonical order.  The support of
+support bitmasks, one row per class in canonical order.  The pass
+multiplies no field elements per class: the span table T of the last b
+generator rows (q^b <= ``CHUNK``) is built once by doubling, a chunk of
+classes sharing its pivot and higher digits is s + T[:size] for the word
+s of its first message, and s + T[i] is zero exactly where T[i] = -s,
+so one comparison per entry gives the chunk's supports
+(Bouyukliev-Bakoev 2008 build codewords by such additions).  The first
+class of least weight is rebuilt as message times G with
+``field.matmul`` and checked against the pass.  The support of
 a subcode is the union of the supports of its basis rows (Wei 1991), and
 each row of a canonical rref basis is itself a normalized message, so
 ``d_r`` for 2 <= r < k is the least popcount of the OR of r table rows:
@@ -82,18 +90,19 @@ def build_code(system: ProjSystem) -> LinearCode:
 # -- scans over r-dimensional subcodes -------------------------------------------
 
 
-def _scan(code: LinearCode, r: int, work, workers: int) -> list:
-    """work(bases) per chunk of r-dim subcodes, bases the (N, r, k) canonical rref stack."""
-    q, k = code.field.q, code.k
-
-    def run(chunk):
-        return work(rref_batch(q, k, *chunk))
-
-    chunks = rref_chunks(q, r, k, CHUNK)
+def _pool_map(run, chunks, workers: int) -> list:
+    """[run(c) for c in chunks], on a thread pool when workers > 1; results keep chunk order."""
     if workers <= 1:
         return [run(c) for c in chunks]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run, chunks))
+
+
+def _scan(code: LinearCode, r: int, work, workers: int) -> list:
+    """work(bases) per chunk of r-dim subcodes, bases the (N, r, k) canonical rref stack."""
+    q, k = code.field.q, code.k
+    chunks = rref_chunks(q, r, k, CHUNK)
+    return _pool_map(lambda chunk: work(rref_batch(q, k, *chunk)), chunks, workers)
 
 
 def _words(code: LinearCode, bases: np.ndarray) -> np.ndarray:
@@ -129,28 +138,70 @@ def _table_shape(code: LinearCode) -> tuple[int, int] | None:
     return (classes, width) if classes * width * 8 <= TABLE_BYTES else None
 
 
+def _span_table(code: LinearCode, b: int) -> np.ndarray:
+    """(q^b, n) words of every combination of the last b generator rows, in odometer order.
+
+    Built by doubling: the words whose coefficient on the next row up is
+    c are the words so far plus c times that row, so every prefix of
+    q^j rows is the span of the last j rows.
+    """
+    F = code.field
+    table = np.zeros((F.q**b, code.n), dtype=np.uint8 if F.q <= 256 else np.uint16)
+    size = 1
+    for row in code.generator.a[::-1][:b]:
+        for c in range(1, F.q):
+            table[c * size : (c + 1) * size] = F.add_arr(table[:size], F.mul_arr(c, row))
+        size *= F.q
+    return table
+
+
 def _classes(code: LinearCode, workers: int) -> _Classes:
-    """The r = 1 pass, run once per code; callers have budgeted (q^k - 1)/(q - 1) classes."""
+    """The r = 1 pass, run once per code; callers have budgeted (q^k - 1)/(q - 1) classes.
+
+    Chunks of up to q^b classes share their pivot and the digits above the last
+    b, so a chunk's words are s + T[:size], s the word of its first message.
+    """
     if code._class_memo is not None:
         return code._class_memo
-    q, k, n = code.field.q, code.k, code.n
+    F, k, n = code.field, code.k, code.n
+    q = F.q
+    b = 0
+    while b < k - 1 and q ** (b + 1) <= CHUNK:
+        b += 1
+    span = _span_table(code, b)
     shape = _table_shape(code)
     table = None if shape is None else np.zeros(shape, dtype=np.uint64)
 
-    def work(bases):
-        support = _words(code, bases)[:, 0] != 0
-        if table is not None:
-            packed = np.packbits(support, axis=1, bitorder="little")
-            table.view(np.uint8)[_class_index(q, k, bases[:, 0]), : packed.shape[1]] = packed
-        return np.bincount(support.sum(axis=1), minlength=n + 1)
+    def run(chunk):
+        pivots, start, stop = chunk
+        message = rref_batch(q, k, pivots, start, start + 1)[:, 0]
+        minus_s = F.sub_arr(0, F.matmul(message, code.generator.a)[0]).astype(span.dtype)
+        packed = np.packbits(span[: stop - start] != minus_s, axis=1, bitorder="little")
+        if table is None:
+            support = np.zeros((len(packed), -(-n // 64)), dtype=np.uint64)
+        else:
+            first = (q**k - q ** (k - pivots[0])) // (q - 1) + start
+            support = table[first : first + len(packed)]
+        support.view(np.uint8)[:, : packed.shape[1]] = packed
+        weights = np.bitwise_count(support).sum(axis=1, dtype=np.int64)
+        i = int(weights.argmin())
+        return np.bincount(weights, minlength=n + 1), int(weights[i]), (pivots, start + i)
 
-    code._class_memo = _Classes(sum(_scan(code, 1, work, workers)), table)
+    parts = _pool_map(run, list(rref_chunks(q, 1, k, q**b)), workers)
+    # the first chunk's least wins ties, so the class checked is the canonical first
+    _, least, (pivots, index) = min(parts, key=lambda part: part[1])
+    message = rref_batch(q, k, pivots, index, index + 1)[:, 0]
+    rebuilt = int(np.count_nonzero(F.matmul(message, code.generator.a)))
+    if rebuilt != least:
+        raise RuntimeError(f"least class weight {least} in the pass, {rebuilt} as message times G")
+    code._class_memo = _Classes(sum(part[0] for part in parts), table)
     return code._class_memo
 
 
 def _least_support(supports: np.ndarray, bases: np.ndarray) -> tuple[int, np.ndarray]:
     i = int(supports.argmin())
-    return int(supports[i]), bases[i]
+    # a copy, so the chunk's whole basis stack is freed once the chunk is done
+    return int(supports[i]), bases[i].copy()
 
 
 def _check_support_identity(code: LinearCode, basis: np.ndarray, support: int) -> None:

@@ -93,6 +93,25 @@ def dr_reference(code, r):
     return best(0, {(0,) * n}, 0, 0)
 
 
+def class_words_reference(code):
+    """The codeword of each normalized message, in canonical r = 1 order, scalar arithmetic only.
+
+    Messages run by the position of their leading 1, then by their later
+    digits as a base-q number, last digit fastest.  Words are summed with
+    F.add/F.mul, so nothing here shares code with field.matmul or the
+    span table of the r = 1 pass.
+    """
+    F, rows, k = code.field, code.generator.a.tolist(), code.k
+    words = []
+    for p in range(k):
+        for tail in product(range(F.q), repeat=k - 1 - p):
+            word = rows[p]
+            for coef, row in zip(tail, rows[p + 1 :]):
+                word = [F.add(w, F.mul(coef, g)) for w, g in zip(word, row)]
+            words.append(word)
+    return words
+
+
 # -- polynomial arithmetic on base-p digits, the reference for the field tables --
 
 

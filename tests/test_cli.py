@@ -95,6 +95,19 @@ def test_parse_errors(tmp_path, capsys):
         assert code == EXIT_PARSE and err.startswith("error: ")
 
 
+def test_unwritable_out_stops_before_any_output(tmp_path, capsys):
+    # --out is opened before the scan, so a bad path exits 2 with an empty stdout
+    code_file = tmp_path / "l2q3.code"
+    run_cli(capsys, "build", "lagrangian:2", "--q", "3", "--out", str(code_file))
+    bad = str(tmp_path / "no" / "out.json")
+    for argv in (
+        ("weights", str(code_file), "--r-max", "1", "--out", bad),
+        ("verify", "--q", "2", "--lagrangian-n", "2", "--out", bad),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_PARSE and out == "" and err.startswith("error: ")
+
+
 def _weights_on_file(tmp_path, capsys, text, *flags):
     path = tmp_path / "bad.code"
     path.write_text(text)
@@ -382,23 +395,48 @@ SPEC_SHAPES = {
     "lag-schubert": "{a}:{t}",
     "lag-union": "{a}:{t}",
 }
+SYMPLECTIC = ("lagrangian", "lag-schubert", "lag-union")
+
+
+@st.composite
+def spec_args(draw):
+    """count/build arguments whose spec parses, then at most one fault.
+
+    The fault is a small number that may be out of range, random index
+    tuples, a stray character or a bad --q, each drawn about one time in
+    eight, so about half the specs reach enumeration.  ``isotropic:l,n``
+    with l > n is a valid spec with no points.
+    """
+    kind = draw(st.sampled_from(sorted(SPEC_SHAPES)))
+    a, b = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    if kind in SYMPLECTIC:
+        ell, m = a, 2 * a
+    elif kind == "isotropic":
+        ell, m = a, 2 * b
+    else:
+        a, b = ell, m = min(a, b), max(a, b)
+    count = 1 if kind in ("schubert", "lag-schubert") else draw(st.integers(1, 2))
+    tuple_st = st.sets(st.integers(1, m), min_size=ell, max_size=ell).map(lambda t: ",".join(map(str, sorted(t))))
+    tuples = ";".join(draw(st.lists(tuple_st, min_size=count, max_size=count)))
+    q = draw(st.sampled_from(["2", "3", "4"]))
+    fault = draw(st.sampled_from([None, None, None, None, "number", "tuples", "junk", "q"]))
+    if fault == "number":
+        a = draw(SMALL_INT)
+    elif fault == "tuples":
+        tuples = ";".join(draw(INDEX_TUPLES))
+    elif fault == "q":
+        q = draw(st.sampled_from(["6", "1", "0", "x", "65537"]))
+    text = f"{kind}:" + SPEC_SHAPES[kind].format(a=a, b=b, t=tuples)
+    if fault == "junk":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from([":", ",", ";", "x"])) + text[at:]
+    return [text, "--q", q, "--budget-points", "3000"]
 
 
 @settings(derandomize=True, deadline=None, max_examples=150)
-@given(
-    command=st.sampled_from(["count", "build"]),
-    kind=st.sampled_from(sorted(SPEC_SHAPES)),
-    a=SMALL_INT,
-    b=SMALL_INT,
-    tuples=INDEX_TUPLES.map(";".join),
-    at=st.integers(0, 30),
-    junk=st.one_of(st.just(""), st.sampled_from([":", ",", ";", "x"])),
-    q=st.sampled_from(["2", "3", "4", "6", "1", "0", "x", "65537"]),
-)
-def test_generated_specs_exit_cleanly(tmp_path_factory, command, kind, a, b, tuples, at, junk, q):
-    # a spec of the kind's shape with small, possibly invalid numbers, and maybe one stray character
-    text = f"{kind}:" + SPEC_SHAPES[kind].format(a=a, b=b, t=tuples)
-    argv = [command, text[:at] + junk + text[at:], "--q", q, "--budget-points", "3000"]
+@given(command=st.sampled_from(["count", "build"]), args=spec_args())
+def test_generated_specs_exit_cleanly(tmp_path_factory, command, args):
+    argv = [command, *args]
     if command == "build":
         argv += ["--out", str(tmp_path_factory.mktemp("build") / "x.code")]
     assert _quiet_main(argv) in CLEAN_EXITS

@@ -5,7 +5,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import dr_reference, field, variety
+from conftest import class_words_reference, dr_reference, field, variety
 from grasscode import codes
 from grasscode.bounds import grassmann_dr_formula
 from grasscode.codes import (
@@ -65,11 +65,12 @@ def test_min_distance_examples():
 @pytest.mark.parametrize("method", ["codewords", "hyperplanes"])
 def test_weight_profile_makes_one_r1_pass(method, monkeypatch):
     # n minus the most zeros of a codeword is its least weight: both methods read the memoized pass
-    calls = []
-    scan = codes._scan
-    monkeypatch.setattr(codes, "_scan", lambda code, r, *rest: calls.append(r) or scan(code, r, *rest))
+    passes, scans = [], []
+    span_table, scan = codes._span_table, codes._scan
+    monkeypatch.setattr(codes, "_span_table", lambda code, b: passes.append(b) or span_table(code, b))
+    monkeypatch.setattr(codes, "_scan", lambda code, r, *rest: scans.append(r) or scan(code, r, *rest))
     profile = weight_profile(build_code(variety("grassmann:2,4", 2)), r_max=1, method=method)
-    assert calls == [1] and profile.d == profile.higher_weights[0] == 16
+    assert len(passes) == 1 and scans == [] and profile.d == profile.higher_weights[0] == 16
 
 
 def test_min_distance_budget():
@@ -247,7 +248,7 @@ def test_subcode_scan_counts():
 
 @pytest.mark.parametrize("q,k", [(2, 1), (2, 6), (3, 4), (4, 3), (5, 2), (9, 2)])
 def test_class_index_of_r1_batches_is_arange(q, k):
-    # the support table is laid out by the r = 1 scan, rows looked up by _class_index
+    # the r = 1 pass lays the support table out in this order; the OR kernel looks rows up by _class_index
     rows = np.concatenate([rref_batch(q, k, *c)[:, 0] for c in rref_chunks(q, 1, k, 7)])
     assert np.array_equal(_class_index(q, k, rows), np.arange((q**k - 1) // (q - 1)))
 
@@ -255,7 +256,7 @@ def test_class_index_of_r1_batches_is_arange(q, k):
 def _random_code_file(tmp_path, q, k, n, seed):
     """A code file over field(q) (q = p^e) with a random full-rank k x n generator."""
     rng = random.Random(seed)
-    p, e = {9: (3, 2), 289: (17, 2)}.get(q, (q, 1))
+    p, e = {4: (2, 2), 9: (3, 2), 289: (17, 2)}.get(q, (q, 1))
     path = tmp_path / f"q{q}.code"
     while True:
         rows = [[rng.randrange(q) for _ in range(n)] for _ in range(k)]
@@ -265,6 +266,56 @@ def _random_code_file(tmp_path, q, k, n, seed):
             return read_code_file(str(path))
         except SpecParseError:  # dependent rows: draw again
             continue
+
+
+@pytest.mark.parametrize("chunk", [4, 16, CHUNK])
+@pytest.mark.parametrize("q,k,n", [(2, 6, 9), (3, 4, 7), (4, 4, 6), (9, 3, 7), (289, 2, 5)])
+def test_class_pass_matches_scalar_reference(q, k, n, chunk, tmp_path, monkeypatch):
+    # small chunks give many chunks per pivot and pivots with fewer free
+    # digits than the span table has rows; at 289 only the default chunk
+    # builds a span table of more than the zero word
+    monkeypatch.setattr(codes, "CHUNK", chunk)
+    code = _random_code_file(tmp_path, q, k, n, seed=q + chunk)
+    classes = codes._classes(code, workers=1)
+    words = class_words_reference(code)
+    supports = [[int(x != 0) for x in word] for word in words]
+    assert classes.tally.tolist() == np.bincount([sum(s) for s in supports], minlength=n + 1).tolist()
+    bits = np.unpackbits(classes.table.view(np.uint8), axis=1, count=n, bitorder="little")
+    assert bits.tolist() == supports
+
+
+def test_corrupted_span_table_fails_least_weight_check(monkeypatch):
+    code = build_code(variety("grassmann:2,4", 3))
+    span_table = codes._span_table
+
+    def corrupt(code, b):
+        # row 1 of the span table is the last generator row g_k; made e_1 - g_1,
+        # it turns the class of g_1 + g_k into the word e_1: weight 1, below d = 27
+        table = span_table(code, b)
+        table[1] = code.field.sub_arr(0, code.generator.a[0])
+        table[1, 0] = (int(table[1, 0]) + 1) % 3
+        return table
+
+    monkeypatch.setattr(codes, "_span_table", corrupt)
+    with pytest.raises(RuntimeError, match="least class weight 1 in the pass"):
+        min_distance(code)
+
+
+def test_chosen_basis_owns_its_data(monkeypatch):
+    # a view would keep its chunk's whole (N, r, k) basis stack alive until
+    # the last chunk is done, so memory would grow with the subcode count
+    monkeypatch.setattr(codes, "CHUNK", 16)
+    chosen = []
+    least_support = codes._least_support
+
+    def record(supports, bases):
+        part = least_support(supports, bases)
+        chosen.append(part[1])
+        return part
+
+    monkeypatch.setattr(codes, "_least_support", record)
+    assert higher_weight(build_code(variety("grassmann:2,4", 2)), 2) == 24
+    assert len(chosen) > 1 and all(basis.base is None for basis in chosen)
 
 
 @pytest.mark.parametrize(
