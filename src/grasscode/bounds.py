@@ -30,6 +30,7 @@ from .sections import (
     VarietySpec,
     combinatorial_dimension,
     contraction_matrix,
+    elambda_length_formula,
     enumerate_variety,
     isotropic_count,
     lagrangian_count,
@@ -112,14 +113,6 @@ def grassmann_dr_formula(ell: int, m: int, q: int, r: int) -> int:
 def dr_equality_max(ell: int, m: int) -> int:
     """Largest r for which the higher-weight formula is an equality."""
     return max(ell, m - ell + 1)
-
-
-def elambda_length_formula(ell: int, m: int, q: int, r: int) -> int:
-    """Gaussian binomial minus the top r powers of q (close coordinate families)."""
-    delta = ell * (m - ell)
-    if not 1 <= r <= delta + 1:
-        raise ValueError(f"need 1 <= r <= delta+1={delta + 1}, got r={r}")
-    return gaussian_binomial(m, ell, q) - sum(q ** (delta - i) for i in range(r))
 
 
 # -- individual checks -----------------------------------------------------------
@@ -309,7 +302,6 @@ def run_suite(
     lagrangian_ns=(),
     budget_points: int = DEFAULT_POINT_BUDGET,
     budget_scans: int = DEFAULT_SCAN_BUDGET,
-    workers: int = 1,
 ) -> list[BoundReport]:
     """Every desk-scale claim for the requested grid of fields, sorted by claim id."""
     reports: list[BoundReport] = []
@@ -324,14 +316,14 @@ def run_suite(
             return systems[spec_str]
 
         for ell, m in grassmann_pairs:
-            reports.extend(_grassmann_claims(field, ell, m, variety, budget_scans, workers))
+            reports.extend(_grassmann_claims(field, ell, m, variety, budget_scans))
         for n in lagrangian_ns:
-            reports.extend(_lagrangian_claims(field, n, variety, budget_scans, workers))
+            reports.extend(_lagrangian_claims(field, n, variety, budget_scans))
     reports.sort(key=lambda rep: rep.claim)
     return reports
 
 
-def _grassmann_claims(field, ell, m, variety, budget_scans, workers):
+def _grassmann_claims(field, ell, m, variety, budget_scans):
     q = field.q
     out = []
     gsys = variety(f"grassmann:{ell},{m}")
@@ -360,7 +352,7 @@ def _grassmann_claims(field, ell, m, variety, budget_scans, workers):
         cite = "Grassmann higher-weight formula"
         dr = None
         if r <= code.k:
-            dr = _scanned(lambda: higher_weight(code, r, workers=workers, budget=budget_scans))
+            dr = _scanned(lambda: higher_weight(code, r, budget=budget_scans))
         if dr is None:
             note = "not evaluated: subcode scan over budget"
             out.append(_unevaluated(claim, params, "==", cite, note))
@@ -415,7 +407,7 @@ def _grassmann_claims(field, ell, m, variety, budget_scans, workers):
     return out
 
 
-def _lagrangian_claims(field, n, variety, budget_scans, workers):
+def _lagrangian_claims(field, n, variety, budget_scans):
     q = field.q
     out = []
     lsys = variety(f"lagrangian:{n}")
@@ -502,7 +494,7 @@ def _lagrangian_claims(field, n, variety, budget_scans, workers):
             "code dimension = ambient dimension minus rank of the forms",
         )
     )
-    d = _scanned(lambda: min_distance(code, workers=workers, budget=budget_scans))
+    d = _scanned(lambda: min_distance(code, budget=budget_scans))
     if d is None:
         out.append(
             _unevaluated(
@@ -525,11 +517,9 @@ def _lagrangian_claims(field, n, variety, budget_scans, workers):
         if 1 <= rprime <= dr_equality_max(n, 2 * n):
             d_rp_G = grassmann_dr_formula(n, 2 * n, q, rprime)
         elif 1 <= rprime <= gcode.k:
-            d_rp_G = _scanned(
-                lambda: higher_weight(gcode, rprime, workers=workers, budget=budget_scans)
-            )
+            d_rp_G = _scanned(lambda: higher_weight(gcode, rprime, budget=budget_scans))
         if d_rp_G is not None and r <= code.k:
-            d_r_L = _scanned(lambda: higher_weight(code, r, workers=workers, budget=budget_scans))
+            d_r_L = _scanned(lambda: higher_weight(code, r, budget=budget_scans))
         if d_r_L is None:
             out.append(
                 _unevaluated(
@@ -546,7 +536,7 @@ def _lagrangian_claims(field, n, variety, budget_scans, workers):
     for r in (1, 2, 3):
         dr = None
         if r <= gcode.k:
-            dr = _scanned(lambda: higher_weight(gcode, r, workers=workers, budget=budget_scans))
+            dr = _scanned(lambda: higher_weight(gcode, r, budget=budget_scans))
         if dr is None:
             out.append(
                 _unevaluated(

@@ -1,9 +1,11 @@
 """Command-line surface: count, build, weights, verify.
 
 Exit codes: 0 success, 2 parse error (unreadable input and unwritable
-output paths included), 3 budget exceeded, 4 verification failure.  The
-environment variable GRASSCODE_BUDGET overrides the default
-point and scan budgets; explicit --budget-* flags win over both.
+output paths included), 3 budget exceeded, 4 verification failure.  Each
+subcommand takes only the budget it spends: count and build
+--budget-points, weights --budget-scans, verify both.  The environment
+variable GRASSCODE_BUDGET overrides the default point and scan budgets;
+an explicit --budget-* flag wins over it.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import os
 import sys
 from dataclasses import dataclass
 
-from .bounds import elambda_length_formula, run_suite
+from .bounds import run_suite
 from .codes import (
     DEFAULT_SCAN_BUDGET,
     build_code,
@@ -26,16 +28,7 @@ from .codes import (
 from .errors import BudgetExceededError, SpecParseError
 from .field import GF, field_for_order
 from .grassmann import DEFAULT_POINT_BUDGET
-from .indices import is_close_family
-from .sections import (
-    enumerate_variety,
-    gaussian_binomial,
-    isotropic_count,
-    lagrangian_count,
-    parse_variety_spec,
-    schubert_count,
-    schubert_union_count,
-)
+from .sections import closed_form_count, enumerate_variety, parse_variety_spec
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -105,36 +98,12 @@ def _spec_from_args(args) -> str:
     return text
 
 
-def _closed_form_count(spec, q: int):
-    """Closed-form point count if one is stated for the kind, plus extras."""
-    extras = {}
-    if spec.kind == "grassmann":
-        return gaussian_binomial(spec.m, spec.ell, q), extras
-    if spec.kind == "schubert":
-        return schubert_count(spec.tuples[0], spec.m, q), extras
-    if spec.kind == "union":
-        return schubert_union_count(spec.tuples, spec.m, q), extras
-    if spec.kind == "elambda":
-        if is_close_family(spec.tuples):
-            return elambda_length_formula(spec.ell, spec.m, q, len(spec.tuples)), extras
-        return None, extras
-    if spec.kind == "lagrangian":
-        return lagrangian_count(spec.n, q), extras
-    if spec.kind == "isotropic":
-        return isotropic_count(spec.ell, spec.n, q), extras
-    if spec.kind in ("lag-schubert", "lag-union"):
-        # no trusted closed form; the Schubert cell sum is reported for comparison only
-        extras["cellsum"] = schubert_union_count(spec.tuples, spec.m, q)
-        return None, extras
-    raise SpecParseError(f"unknown kind {spec.kind!r}")
-
-
 def cmd_count(args) -> int:
     config = _resolve_config(args, need_field=True)
     spec = parse_variety_spec(_spec_from_args(args))
     system = enumerate_variety(spec, config.field, config.budget_points)
     count = len(system.points)
-    formula, extras = _closed_form_count(spec, config.field.q)
+    formula, extras = closed_form_count(spec, config.field.q)
     agree = True if formula is None else (count == formula)
     if args.json:
         payload = {"count": count, "formula": formula, "agree": agree, **extras}
@@ -228,7 +197,6 @@ def cmd_verify(args) -> int:
             lagrangian_ns=lagrangian,
             budget_points=config.budget_points,
             budget_scans=config.budget_scans,
-            workers=config.workers,
         )
         payload = {
             "reports": [rep.to_json_dict() for rep in reports],
@@ -245,9 +213,14 @@ def _add_field_args(parser):
     parser.add_argument("--e", type=int, help="field extension degree (with --p)")
 
 
-def _add_budget_args(parser):
-    parser.add_argument("--budget-points", type=int, default=None, help="max points to enumerate")
-    parser.add_argument("--budget-scans", type=int, default=None, help="max codeword/subcode scans")
+BUDGET_HELP = {"points": "max points to enumerate", "scans": "max codeword/subcode scans"}
+
+
+def _add_budget_args(parser, *budgets):
+    """The --budget-* flags a subcommand takes; a budget it does not take keeps its default."""
+    parser.set_defaults(budget_points=None, budget_scans=None)
+    for budget in budgets:
+        parser.add_argument(f"--budget-{budget}", type=int, default=None, help=BUDGET_HELP[budget])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -262,7 +235,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_count.add_argument("--spec")
     p_count.add_argument("--json", action="store_true", help="machine-readable output")
     _add_field_args(p_count)
-    _add_budget_args(p_count)
+    _add_budget_args(p_count, "points")
     p_count.set_defaults(fn=cmd_count)
 
     p_build = sub.add_parser("build", help="write a generator matrix file")
@@ -270,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--spec")
     p_build.add_argument("--out", required=True)
     _add_field_args(p_build)
-    _add_budget_args(p_build)
+    _add_budget_args(p_build, "points")
     p_build.set_defaults(fn=cmd_build)
 
     p_weights = sub.add_parser("weights", help="distance / higher weights / enumerator")
@@ -279,16 +252,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_weights.add_argument("--method", choices=("codewords", "hyperplanes"), default="codewords")
     p_weights.add_argument("--workers", type=int, default=1)
     p_weights.add_argument("--out")
-    _add_budget_args(p_weights)
+    _add_budget_args(p_weights, "scans")
     p_weights.set_defaults(fn=cmd_weights)
 
     p_verify = sub.add_parser("verify", help="run the claim-verification suite")
     p_verify.add_argument("--q", help="comma-separated field orders")
     p_verify.add_argument("--grassmann", help="l,m pairs separated by ';'")
     p_verify.add_argument("--lagrangian-n", help="comma-separated n values")
-    p_verify.add_argument("--workers", type=int, default=1)
     p_verify.add_argument("--out")
-    _add_budget_args(p_verify)
+    _add_budget_args(p_verify, "points", "scans")
     p_verify.set_defaults(fn=cmd_verify)
 
     return parser

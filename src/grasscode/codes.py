@@ -23,9 +23,10 @@ a subcode is the union of the supports of its basis rows (Wei 1991), and
 each row of a canonical rref basis is itself a normalized message, so
 ``d_r`` for 2 <= r < k is the least popcount of the OR of r table rows:
 no field products.  Over ``TABLE_BYTES`` (a cap on memory, not a speed
-trade: the OR is the faster path wherever it runs) and for r = k (one
-subcode, where a table would cost the whole r = 1 pass), r >= 2 skips
-the table and multiplies the subcodes' bases by the generator instead.
+trade: the OR is the faster path wherever it runs), r >= 2 skips the
+table and multiplies the subcodes' bases by the generator instead.  The
+one subcode of dimension k is the code itself, so ``d_k`` is |supp C|,
+the number of nonzero generator columns, with no scan.
 The subcode attaining ``d_r`` (r < k) is rebuilt from its codewords with
 ``field.matmul`` and checked against
 sum_{c in D} wt(c) = (q^r - q^(r-1)) |supp D|, and ``weight_profile``
@@ -267,8 +268,10 @@ def higher_weight(
     q, k = code.field.q, code.k
     if r == 1:
         return _least_weight(code, workers)
+    if r == k:
+        return int(np.count_nonzero(code.generator.a.any(axis=0)))
     # for r < k the r = 1 pass costs [k, 1]_q <= [k, r]_q, inside the budget
-    table = _classes(code, workers).table if r < k and _table_shape(code) else None
+    table = _classes(code, workers).table if _table_shape(code) else None
     if table is None:
 
         def work(bases):
@@ -282,8 +285,7 @@ def higher_weight(
 
     # the first chunk's least wins ties, so the subcode checked is the canonical first
     d_r, basis = min(_scan(code, r, work, workers), key=lambda part: part[0])
-    if r < k:
-        _check_support_identity(code, basis, d_r)
+    _check_support_identity(code, basis, d_r)
     return d_r
 
 

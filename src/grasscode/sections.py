@@ -8,6 +8,11 @@ Grassmannian.  Every enumerated system carries the linear forms known to
 vanish on it; ``verify_ffn`` checks that those forms span *all* linear
 forms vanishing on the rational points.
 
+Each kind is stated here once: ``KINDS`` gives the shape of its spec
+text, which ``parse_variety_spec``, ``VarietySpec.serialize`` and
+``make_spec`` all read, and ``closed_form_count`` gives its closed-form
+point count where the kind has one.
+
 Point sets are the (N, K) arrays of ``grassmann.ProjSystem``, filtered
 one batch of the Grassmannian stream at a time with array masks.
 
@@ -38,14 +43,27 @@ from .indices import (
     format_tuple,
     gaussian_binomial,
     index_positions,
+    is_close_family,
     parse_tuple,
     schubert_cell_dimension,
     validate_tuple,
 )
 from .linalg import Mat, intersect_row_spaces, vstack, zeros
 
-SYMPLECTIC_KINDS = ("lagrangian", "isotropic", "lag-schubert", "lag-union")
-ALL_KINDS = ("grassmann", "schubert", "union", "elambda") + SYMPLECTIC_KINDS
+# The spec text of each kind is "kind:HEAD" or "kind:HEAD:TUPLES".  HEAD
+# gives the Grassmannian: "{l},{m}" for G(l, m), "{n}" for G(n, 2n), "{l},{n}"
+# for G(l, 2n).  TUPLES, ';'-separated index tuples, are absent ("none"),
+# exactly one ("one") or one or more ("some").
+KINDS = {
+    "grassmann": ("{l},{m}", "none"),
+    "schubert": ("{l},{m}", "one"),
+    "union": ("{l},{m}", "some"),
+    "elambda": ("{l},{m}", "some"),
+    "lagrangian": ("{n}", "none"),
+    "isotropic": ("{l},{n}", "none"),
+    "lag-schubert": ("{n}", "one"),
+    "lag-union": ("{n}", "some"),
+}
 
 
 @dataclass(frozen=True)
@@ -63,35 +81,29 @@ class VarietySpec:
         return self.m // 2
 
     def serialize(self) -> str:
-        lams = ";".join(format_tuple(t) for t in self.tuples)
-        if self.kind == "grassmann":
-            return f"grassmann:{self.ell},{self.m}"
-        if self.kind in ("schubert", "union", "elambda"):
-            return f"{self.kind}:{self.ell},{self.m}:{lams}"
-        if self.kind == "lagrangian":
-            return f"lagrangian:{self.n}"
-        if self.kind == "isotropic":
-            return f"isotropic:{self.ell},{self.n}"
-        if self.kind == "lag-schubert":
-            return f"lag-schubert:{self.n}:{lams}"
-        if self.kind == "lag-union":
-            return f"lag-union:{self.n}:{lams}"
-        raise ValueError(f"unknown kind {self.kind!r}")
+        head, rule = KINDS[self.kind]
+        text = f"{self.kind}:" + head.format(l=self.ell, m=self.m, n=self.n)
+        if rule == "none":
+            return text
+        return text + ":" + ";".join(format_tuple(t) for t in self.tuples)
 
 
 def make_spec(kind: str, ell: int, m: int, tuples=()) -> VarietySpec:
-    if kind not in ALL_KINDS:
+    if kind not in KINDS:
         raise SpecParseError(f"unknown variety kind {kind!r}")
+    head, rule = KINDS[kind]
     if not 1 <= ell <= m:
         raise SpecParseError(f"need 1 <= ell <= m, got ell={ell}, m={m}")
-    if kind in SYMPLECTIC_KINDS and m % 2:
+    if head != "{l},{m}" and m % 2:
         raise SpecParseError(f"{kind} needs an even ambient dimension, got m={m}")
-    if kind in ("lagrangian", "lag-schubert", "lag-union") and ell != m // 2:
+    if head == "{n}" and ell != m // 2:
         raise SpecParseError(f"{kind} needs ell = m/2")
     tuples = tuple(sorted({validate_tuple(t, ell, m) for t in tuples}))
-    if kind in ("schubert", "union", "elambda", "lag-schubert", "lag-union") and not tuples:
+    if rule == "none" and tuples:
+        raise SpecParseError(f"{kind} takes no index tuples")
+    if rule != "none" and not tuples:
         raise SpecParseError(f"{kind} needs at least one index tuple")
-    if kind in ("schubert", "lag-schubert") and len(tuples) != 1:
+    if rule == "one" and len(tuples) != 1:
         raise SpecParseError(f"{kind} takes exactly one index tuple")
     return VarietySpec(kind, ell, m, tuples)
 
@@ -100,23 +112,15 @@ def parse_variety_spec(text: str) -> VarietySpec:
     parts = text.strip().split(":")
     kind = parts[0]
     try:
-        if kind == "grassmann" and len(parts) == 2:
-            ell, m = (int(x) for x in parts[1].split(","))
-            return make_spec(kind, ell, m)
-        if kind in ("schubert", "union", "elambda") and len(parts) == 3:
-            ell, m = (int(x) for x in parts[1].split(","))
-            tuples = [parse_tuple(t) for t in parts[2].split(";")]
+        if kind in KINDS and len(parts) == 2 + (KINDS[kind][1] != "none"):
+            head = KINDS[kind][0]
+            if head == "{n}":
+                ell = b = int(parts[1])
+            else:
+                ell, b = (int(x) for x in parts[1].split(","))
+            m = b if head == "{l},{m}" else 2 * b
+            tuples = [parse_tuple(t) for t in parts[2].split(";")] if len(parts) == 3 else ()
             return make_spec(kind, ell, m, tuples)
-        if kind == "lagrangian" and len(parts) == 2:
-            n = int(parts[1])
-            return make_spec(kind, n, 2 * n)
-        if kind == "isotropic" and len(parts) == 2:
-            ell, n = (int(x) for x in parts[1].split(","))
-            return make_spec(kind, ell, 2 * n)
-        if kind in ("lag-schubert", "lag-union") and len(parts) == 3:
-            n = int(parts[1])
-            tuples = [parse_tuple(t) for t in parts[2].split(";")]
-            return make_spec(kind, n, 2 * n, tuples)
     except (ValueError, SpecParseError) as exc:
         raise SpecParseError(f"bad variety spec {text!r}: {exc}") from exc
     raise SpecParseError(f"bad variety spec {text!r}")
@@ -271,10 +275,7 @@ def _defining_forms(spec: VarietySpec, field: GF) -> Mat:
         if spec.ell < 2:
             return zeros(field, 0, ambient)
         return contraction_matrix(spec.n, field, spec.ell)
-    if spec.kind == "lag-schubert":
-        coord = _coordinate_forms(field, _non_downset_positions(spec.tuples, spec.ell, spec.m), ambient)
-        return vstack([pi_forms(spec.n, field), coord])
-    if spec.kind == "lag-union":
+    if spec.kind in ("lag-schubert", "lag-union"):
         pi = pi_forms(spec.n, field)
         inter = None
         for lam in spec.tuples:
@@ -302,7 +303,7 @@ def _schubert_mask(spec, field, bases, coords) -> np.ndarray:
 
 def _kept(spec: VarietySpec, field: GF):
     """The points of each batch of the Grassmannian stream that lie on the variety."""
-    form = symplectic_form(spec.n, field) if spec.kind in SYMPLECTIC_KINDS else None
+    form = symplectic_form(spec.n, field) if KINDS[spec.kind][0] != "{l},{m}" else None
     pos = index_positions(spec.ell, spec.m)
     for _, bases, coords in iter_grassmann_cells(spec.ell, spec.m, field):
         if spec.kind == "grassmann":
@@ -386,6 +387,34 @@ def schubert_union_count(lams, m: int, q: int) -> int:
 
 def schubert_count(lam, m: int, q: int) -> int:
     return schubert_union_count([lam], m, q)
+
+
+def elambda_length_formula(ell: int, m: int, q: int, r: int) -> int:
+    """Gaussian binomial minus the top r powers of q (close coordinate families)."""
+    delta = ell * (m - ell)
+    if not 1 <= r <= delta + 1:
+        raise ValueError(f"need 1 <= r <= delta+1={delta + 1}, got r={r}")
+    return gaussian_binomial(m, ell, q) - sum(q ** (delta - i) for i in range(r))
+
+
+def closed_form_count(spec: VarietySpec, q: int) -> tuple[int | None, dict]:
+    """Closed-form point count if one is stated for the kind, plus extras."""
+    if spec.kind == "grassmann":
+        return gaussian_binomial(spec.m, spec.ell, q), {}
+    if spec.kind in ("schubert", "union"):
+        return schubert_union_count(spec.tuples, spec.m, q), {}
+    if spec.kind == "elambda":
+        if is_close_family(spec.tuples):
+            return elambda_length_formula(spec.ell, spec.m, q, len(spec.tuples)), {}
+        return None, {}
+    if spec.kind == "lagrangian":
+        return lagrangian_count(spec.n, q), {}
+    if spec.kind == "isotropic":
+        return isotropic_count(spec.ell, spec.n, q), {}
+    if spec.kind in ("lag-schubert", "lag-union"):
+        # no trusted closed form; the Schubert cell sum is reported for comparison only
+        return None, {"cellsum": schubert_union_count(spec.tuples, spec.m, q)}
+    raise ValueError(f"unknown kind {spec.kind!r}")
 
 
 def cell_histogram(system: ProjSystem) -> dict[IndexTuple, int]:

@@ -9,6 +9,19 @@ from grasscode.linalg import Mat, maximal_minors
 from grasscode.sections import enumerate_variety, parse_variety_spec
 
 
+# one spec of each kind in sections.KINDS
+SPEC_CASES = {
+    "grassmann": "grassmann:2,4",
+    "schubert": "schubert:2,4:2,4",
+    "union": "union:2,4:1,4;2,3",
+    "elambda": "elambda:2,4:1,2;1,3",
+    "lagrangian": "lagrangian:2",
+    "isotropic": "isotropic:2,3",
+    "lag-schubert": "lag-schubert:2:2,4",
+    "lag-union": "lag-union:2:2,4;1,4",
+}
+
+
 @lru_cache(maxsize=None)
 def field(p, e=1):
     """GF(p^e) with the lexicographically smallest irreducible modulus."""

@@ -196,6 +196,26 @@ def test_budget_env_override(capsys, monkeypatch):
     assert code == EXIT_PARSE
 
 
+def test_subcommands_take_only_their_budget(tmp_path, capsys):
+    code_file = tmp_path / "g24.code"
+    run_cli(capsys, "build", "grassmann:2,4", "--q", "2", "--out", str(code_file))
+    for argv in (
+        ("count", "grassmann:2,4", "--q", "2", "--budget-scans", "5"),
+        ("build", "grassmann:2,4", "--q", "2", "--out", str(code_file), "--budget-scans", "5"),
+        ("weights", str(code_file), "--budget-points", "5"),
+        ("verify", "--q", "2", "--workers", "2"),
+    ):
+        assert _quiet_main(list(argv)) == EXIT_PARSE
+    # a budget a subcommand takes must be positive, whatever the default
+    for argv in (
+        ("count", "grassmann:2,4", "--q", "2", "--budget-points", "0"),
+        ("weights", str(code_file), "--budget-scans", "0"),
+        ("verify", "--budget-points", "-1"),
+    ):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == EXIT_PARSE and "budgets must be positive" in err
+
+
 def test_build_and_weights_roundtrip(tmp_path, capsys):
     out_file = tmp_path / "g24.code"
     code, out, _ = run_cli(capsys, "build", "grassmann:2,4", "--q", "2", "--out", str(out_file))
@@ -302,6 +322,31 @@ def test_verify_unevaluated_reports_pinned(capsys, budget, digest):
     argv = ("verify", "--q", "2", "--grassmann", "2,2;2,4", "--lagrangian-n", "2", "--budget-scans", budget)
     code, out, _ = run_cli(capsys, *argv)
     assert code == EXIT_OK and "not evaluated" in out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# SHA-256 of the stdout of count at q = 2 and 3, plain then --json.
+@pytest.mark.parametrize(
+    "spec,digest",
+    [
+        ("grassmann:2,4", "72fab61f2947d549f0dc4aeb60cbd814f348aba8105578c22a248b052dc8a5b4"),
+        ("schubert:2,4:2,4", "e2193af277584ed1238128940bc29c69277ce984b36c49c842b281ad4bac431d"),
+        ("union:2,4:1,4;2,3", "141bf1957c76cf78e67155f73704dfd453cee0a77aae45c1c249bda5caeeb76d"),
+        ("elambda:2,4:1,2;1,3", "141bf1957c76cf78e67155f73704dfd453cee0a77aae45c1c249bda5caeeb76d"),
+        ("elambda:2,4:1,2;3,4", "ae1da93f59162e32d592a74b16aa7f723f833d511b137a6254c86f1da79b2621"),
+        ("lagrangian:2", "0fa62aaf66f8747a10d136f03b9e51f2e7bbb34ebeb38576d8c7a063c73cee3f"),
+        ("isotropic:2,3", "bfd30cb99b30ce4963a2a4051c0afb8d972fef0c1e7f217e969c2c7f0d552e80"),
+        ("lag-schubert:2:2,4", "f944a0ccc4e3aa2619c35803ba7edd8defbd04db6e9bc1cb5973e19d980e7117"),
+        ("lag-union:2:2,4;1,4", "f944a0ccc4e3aa2619c35803ba7edd8defbd04db6e9bc1cb5973e19d980e7117"),
+    ],
+)
+def test_count_reports_pinned(capsys, spec, digest):
+    out = ""
+    for q in ("2", "3"):
+        for flags in ((), ("--json",)):
+            code, text, _ = run_cli(capsys, "count", spec, "--q", q, *flags)
+            assert code == EXIT_OK
+            out += text
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 

@@ -346,15 +346,16 @@ def test_table_path_matches_fallback_and_reference(source, ref_r, tmp_path, monk
         assert with_table[r - 1] == dr_reference(table_code, r)
 
 
-def test_products_only_without_table_or_at_r_equal_k(monkeypatch):
+def test_products_only_without_table_and_none_at_r_equal_k(monkeypatch):
     # once the r = 1 pass is done, r < k needs field products only for the
-    # support-identity check (two products); the fallback needs one per chunk
+    # support-identity check (two products); the fallback needs one per chunk,
+    # and d_k is read off the generator's nonzero columns
     calls = []
     matmul = GF.matmul
     monkeypatch.setattr(GF, "matmul", lambda self, a, b: calls.append(1) or matmul(self, a, b))
     code = build_code(variety("grassmann:2,4", 2))
     higher_weight(code, 1)
-    for r, products in ((2, 2), (3, 2), (code.k, 1)):
+    for r, products in ((2, 2), (3, 2), (code.k, 0)):
         calls.clear()
         higher_weight(code, r)
         assert len(calls) == products
@@ -365,6 +366,17 @@ def test_products_only_without_table_or_at_r_equal_k(monkeypatch):
     # over TABLE_BYTES, r >= 2 goes straight to the product scan: no r = 1 pass
     assert code._class_memo is None
     assert len(calls) == len(list(rref_chunks(2, 2, code.k, CHUNK))) + 2
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_zero_column_is_outside_the_support(q, tmp_path):
+    # d_k = |supp C|: every generator column but the zero one
+    path = tmp_path / "zero.code"
+    rows = "1 0 0 1 0 1\n0 1 0 1 0 1\n0 0 1 1 0 2\n".replace("2", str(q - 1))
+    path.write_text(f"{field(q).header()}\n# code n=6 k=3 source=unknown\n{rows}")
+    code = read_code_file(str(path))
+    assert higher_weight(code, code.k) == code.n - 1
+    assert [higher_weight(code, r) for r in (1, 2)] == [dr_reference(code, r) for r in (1, 2)]
 
 
 @pytest.mark.parametrize("spec,q", [("grassmann:2,4", 3), ("lagrangian:2", 2)])

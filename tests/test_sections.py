@@ -6,6 +6,7 @@ import pytest
 
 import grasscode.grassmann as grassmann
 from conftest import (
+    SPEC_CASES,
     bruhat_cell_of,
     field,
     is_isotropic,
@@ -20,7 +21,9 @@ from grasscode.grassmann import ProjSystem
 from grasscode.indices import enumerate_index_tuples, index_positions
 from grasscode.linalg import Mat, maximal_minors, rref_batch, rref_free_positions, zeros
 from grasscode.sections import (
+    KINDS,
     cell_histogram,
+    closed_form_count,
     combinatorial_dimension,
     contraction_matrix,
     enumerate_variety,
@@ -38,23 +41,39 @@ from grasscode.sections import (
 )
 
 
-def test_spec_parse_and_serialize():
-    for text in [
-        "grassmann:2,4",
-        "schubert:2,4:2,4",
-        "union:2,4:1,4;2,3",
-        "elambda:2,4:1,2;1,3",
-        "lagrangian:2",
-        "isotropic:2,3",
-        "lag-schubert:2:2,4",
-        "lag-union:2:2,4;1,4",
-    ]:
-        spec = parse_variety_spec(text)
-        assert parse_variety_spec(spec.serialize()) == spec
+def test_spec_cases_cover_every_kind():
+    assert sorted(SPEC_CASES) == sorted(KINDS)
 
+
+@pytest.mark.parametrize("kind", sorted(SPEC_CASES))
+def test_spec_parse_and_serialize(kind):
+    spec = parse_variety_spec(SPEC_CASES[kind])
+    assert spec.kind == kind
+    assert parse_variety_spec(spec.serialize()) == spec
+    assert make_spec(kind, spec.ell, spec.m, spec.tuples) == spec
+
+
+def test_spec_parse_rejects_bad_text():
     for bad in ["nope:1", "schubert:2,4", "lagrangian:2,4", "grassmann:0,4", "schubert:2,4:4,5"]:
         with pytest.raises(SpecParseError):
             parse_variety_spec(bad)
+    # serialize writes no tuples for these kinds, so a spec holding some would not round-trip
+    for kind in ("grassmann", "lagrangian", "isotropic"):
+        with pytest.raises(SpecParseError, match="takes no index tuples"):
+            make_spec(kind, 2, 4, [(1, 2)])
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("text", [*SPEC_CASES.values(), "elambda:2,4:1,2;3,4"])
+def test_closed_form_count_matches_enumeration(text, q):
+    spec = parse_variety_spec(text)
+    count, extras = closed_form_count(spec, q)
+    if spec.kind.startswith("lag-"):
+        assert count is None and extras == {"cellsum": schubert_union_count(spec.tuples, spec.m, q)}
+    elif text == "elambda:2,4:1,2;3,4":  # not a close family: no closed form
+        assert count is None and extras == {}
+    else:
+        assert count == len(variety(text, q).points) and extras == {}
 
 
 def test_symplectic_form_shape():
