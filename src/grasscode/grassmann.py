@@ -66,10 +66,6 @@ class ProjSystem:
         rows = np.sort(packed.view(np.dtype((np.void, packed.itemsize * self.ambient_dim))).ravel())
         if (rows[1:] == rows[:-1]).any():
             raise ValueError("duplicate points in projective system")
-        if self.defining_forms.rows and len(self):
-            prods = self.field.matmul(self.defining_forms.a, self.point_matrix().a)
-            if prods.any():
-                raise ValueError("a defining form does not vanish on all points")
 
 
 def stack_rows(parts, capacity: int, width: int) -> np.ndarray:

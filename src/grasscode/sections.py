@@ -16,13 +16,17 @@ point count where the kind has one.
 Point sets are the (N, K) arrays of ``grassmann.ProjSystem``, filtered
 one batch of the Grassmannian stream at a time with array masks.
 
-Schubert membership is always computed twice on every batch: by
-Plücker-coordinate vanishing, and by the flag condition
-dim(W ∩ span{e_1..e_t}) >= i at t = lam_i, read off the jump positions
-that ``flag_cells`` finds by elimination on the bases themselves, never
-from the minors.  A disagreement raises immediately.  A point's Bruhat
-cell is the lex-last index in the support of its Plücker vector (Fulton,
-*Young Tableaux*, ch. 9), which is how ``cell_histogram`` counts cells.
+Every kind is a linear section, so one rule decides membership: a point
+is kept iff every form of ``_defining_forms`` vanishes on its Plücker
+vector (``grassmann`` has no forms and keeps every point).  The bases
+check that rule on every batch, in arithmetic that uses no minor: the
+symplectic kinds by the Gram test B J B^T = 0, the Schubert kinds
+(``schubert``, ``union``, ``lag-*``) by the flag condition
+dim(W ∩ span{e_1..e_t}) >= i at t = lam_i for some lam, read off the jump
+positions that ``flag_cells`` finds by elimination on the bases.  A
+disagreement raises immediately.  A point's Bruhat cell is the lex-last
+index in the support of its Plücker vector (Fulton, *Young Tableaux*,
+ch. 9), which is how ``cell_histogram`` counts cells.
 """
 
 from __future__ import annotations
@@ -129,27 +133,17 @@ def parse_variety_spec(text: str) -> VarietySpec:
 # -- symplectic machinery -----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SymplecticForm:
-    n: int
-    field: GF
-    gram: Mat
+def _isotropic_mask(field: GF, bases: np.ndarray) -> np.ndarray:
+    """Which bases of an (N, l, 2n) stack span isotropic subspaces: B J B^T = 0.
 
-
-def symplectic_form(n: int, field: GF) -> SymplecticForm:
-    """Standard form: <e_i, e_{2n-i+1}> = 1 for i <= n, skew below the antidiagonal."""
-    m = 2 * n
-    gram = np.zeros((m, m), dtype=np.int64)
-    for i in range(1, n + 1):
-        gram[i - 1, m - i] = 1
-        gram[m - i, i - 1] = field.from_int(-1)
-    return SymplecticForm(n, field, Mat(field, gram))
-
-
-def _isotropic_mask(field: GF, bases: np.ndarray, form: SymplecticForm) -> np.ndarray:
-    bg = field.matmul(bases, form.gram.a)
-    bgb = field.matmul(bg, np.swapaxes(bases, 1, 2))
-    return ~bgb.any(axis=(1, 2))
+    The standard form pairs e_i with e_{2n+1-i}, +1 for i <= n and -1
+    below the antidiagonal, so B J is B with its columns reversed and its
+    first n columns negated.
+    """
+    bj = bases[..., ::-1].copy()
+    n = bj.shape[-1] // 2
+    bj[..., :n] = field.sub_arr(0, bj[..., :n])
+    return ~field.matmul(bj, np.swapaxes(bases, 1, 2)).any(axis=(1, 2))
 
 
 def contraction_matrix(n: int, field: GF, ell: int | None = None) -> Mat:
@@ -286,57 +280,50 @@ def _defining_forms(spec: VarietySpec, field: GF) -> Mat:
     raise ValueError(f"unknown kind {spec.kind!r}")
 
 
-def _schubert_mask(spec, field, bases, coords) -> np.ndarray:
-    """Union-of-Schubert membership by Plücker vanishing, checked against the flag cells."""
-    cells = flag_cells(field, bases)
-    member = np.zeros(coords.shape[0], dtype=bool)
-    for lam in spec.tuples:
-        mask = ~coords[:, _non_downset_positions([lam], spec.ell, spec.m)].any(axis=1)
-        wrong = np.flatnonzero(mask != (cells <= lam).all(axis=1))
-        if wrong.size:
-            raise RuntimeError(
-                f"Schubert membership oracles disagree at lam={lam}, point {wrong[0]}"
-            )
-        member |= mask
-    return member
+def _oracle(spec: VarietySpec, field: GF, bases: np.ndarray) -> np.ndarray | None:
+    """Membership read off the bases alone, never the minors; None for kinds with no such test."""
+    mask = None
+    if spec.kind in ("lagrangian", "isotropic", "lag-schubert", "lag-union"):
+        mask = _isotropic_mask(field, bases)
+    if spec.kind in ("schubert", "union", "lag-schubert", "lag-union"):
+        lams = np.array(spec.tuples)[:, None]
+        flag = (flag_cells(field, bases)[None] <= lams).all(axis=2).any(axis=0)
+        mask = flag if mask is None else mask & flag
+    return mask
 
 
-def _kept(spec: VarietySpec, field: GF):
-    """The points of each batch of the Grassmannian stream that lie on the variety."""
-    form = symplectic_form(spec.n, field) if KINDS[spec.kind][0] != "{l},{m}" else None
-    pos = index_positions(spec.ell, spec.m)
-    for _, bases, coords in iter_grassmann_cells(spec.ell, spec.m, field):
-        if spec.kind == "grassmann":
-            mask = np.ones(coords.shape[0], dtype=bool)
-        elif spec.kind == "elambda":
-            cols = [pos[t] for t in spec.tuples]
-            mask = ~coords[:, cols].any(axis=1)
-        elif spec.kind in ("schubert", "union"):
-            mask = _schubert_mask(spec, field, bases, coords)
-        elif spec.kind in ("lagrangian", "isotropic"):
-            mask = _isotropic_mask(field, bases, form)
-        elif spec.kind in ("lag-schubert", "lag-union"):
-            mask = _isotropic_mask(field, bases, form)
-            mask &= _schubert_mask(spec, field, bases, coords)
-        else:
-            raise ValueError(f"unknown kind {spec.kind!r}")
+def _kept(spec: VarietySpec, field: GF, forms: Mat):
+    """The points of each batch of the Grassmannian stream on which every form vanishes.
+
+    The kind's oracle on the bases must agree on every candidate.
+    """
+    for pivots, bases, coords in iter_grassmann_cells(spec.ell, spec.m, field):
+        mask = ~field.matmul(coords, forms.a.T).any(axis=1)
+        oracle = _oracle(spec, field, bases)
+        if oracle is not None:
+            wrong = np.flatnonzero(mask != oracle)
+            if wrong.size:
+                raise RuntimeError(
+                    f"{spec.kind} membership oracles disagree in cell {pivots}, point {wrong[0]}"
+                )
         yield coords[mask]
 
 
 def enumerate_variety(
     spec: VarietySpec, field: GF, budget: int = DEFAULT_POINT_BUDGET
 ) -> ProjSystem:
-    """Filter the Grassmannian point stream by the kind's membership predicate."""
+    """Filter the Grassmannian point stream by the vanishing of the kind's forms."""
     ell, m = spec.ell, spec.m
     upstream = gaussian_binomial(m, ell, field.q)
     if upstream > budget:
         raise BudgetExceededError(f"G({ell},{m})(F_{field.q}) point count", upstream, budget)
     ambient = len(enumerate_index_tuples(ell, m))
+    forms = _defining_forms(spec, field)
     system = ProjSystem(
         field,
         ambient,
-        stack_rows(_kept(spec, field), upstream, ambient),
-        _defining_forms(spec, field),
+        stack_rows(_kept(spec, field, forms), upstream, ambient),
+        forms,
         ell=ell,
         m=m,
         source=spec,

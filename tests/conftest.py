@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
@@ -5,8 +6,8 @@ import numpy as np
 
 from grasscode.field import GF
 from grasscode.indices import downset, enumerate_index_tuples, index_positions
-from grasscode.linalg import Mat, maximal_minors
-from grasscode.sections import enumerate_variety, parse_variety_spec
+from grasscode.linalg import Mat, maximal_minors, rref_batch, rref_chunks
+from grasscode.sections import KINDS, enumerate_variety, parse_variety_spec
 
 
 # one spec of each kind in sections.KINDS
@@ -247,9 +248,53 @@ def schubert_member_plucker(coords, lam, ell, m):
     return not any(c for c, beta in zip(coords, enumerate_index_tuples(ell, m)) if beta not in below)
 
 
+@dataclass(frozen=True)
+class SymplecticForm:
+    n: int
+    field: GF
+    gram: Mat
+
+
+def symplectic_form(n, field):
+    """Standard form: <e_i, e_{2n-i+1}> = 1 for i <= n, skew below the antidiagonal."""
+    m = 2 * n
+    gram = np.zeros((m, m), dtype=np.int64)
+    for i in range(1, n + 1):
+        gram[i - 1, m - i] = 1
+        gram[m - i, i - 1] = field.from_int(-1)
+    return SymplecticForm(n, field, Mat(field, gram))
+
+
 def is_isotropic(basis, form):
     """True iff basis . gram . basis^T = 0."""
     if basis.cols != form.gram.rows:
         raise ValueError("basis width does not match the form")
     prod_ = basis.field.matmul(basis.field.matmul(basis.a, form.gram.a), basis.a.T)
     return not prod_.any()
+
+
+def reference_points(spec_str, p, e=1):
+    """The points of a variety by filtering the points of G(l, m) one at a time, with no forms.
+
+    A symplectic kind keeps a basis that ``is_isotropic`` accepts (the
+    Gram matrix product); a Schubert kind keeps it if ``schubert_member_flag``
+    (one rank per condition) holds for some tuple; ``elambda`` reads its
+    coordinates.  The bases come in the canonical order of the points.
+    """
+    spec = parse_variety_spec(spec_str)
+    f = field(p, e)
+    points = variety(f"grassmann:{spec.ell},{spec.m}", p, e).points
+    form = symplectic_form(spec.n, f) if KINDS[spec.kind][0] != "{l},{m}" else None
+    flag = spec.kind in ("schubert", "union", "lag-schubert", "lag-union")
+    cols = [index_positions(spec.ell, spec.m)[t] for t in spec.tuples] if spec.kind == "elambda" else []
+    keep = []
+    for pivots, start, stop in rref_chunks(f.q, spec.ell, spec.m, 4096):
+        for basis in rref_batch(f.q, spec.m, pivots, start, stop):
+            point = points[len(keep)]
+            basis = Mat(f, basis)
+            keep.append(
+                not point[cols].any()
+                and (form is None or is_isotropic(basis, form))
+                and (not flag or any(schubert_member_flag(basis, lam) for lam in spec.tuples))
+            )
+    return points[np.array(keep, dtype=bool)]

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grasscode.cli as cli
+import grasscode.sections as sections
 from conftest import variety
 from grasscode.bounds import BoundReport
 from grasscode.cli import EXIT_BUDGET, EXIT_OK, EXIT_PARSE, EXIT_VERIFY, main
@@ -182,6 +183,19 @@ def test_weights_budgets_checked_before_any_scan(tmp_path, capsys, monkeypatch):
 def test_budget_exceeded_exit(capsys):
     code, _, err = run_cli(capsys, "count", "grassmann:2,4", "--q", "2", "--budget-points", "5")
     assert code == EXIT_BUDGET and "budget" in err
+
+
+def test_budget_exceeded_exit_on_count_past_int_str_limit(tmp_path, capsys, monkeypatch):
+    # [632, 316]_2 has about 30 000 decimal digits, past Python's int-to-str
+    # limit; the budget check comes before any form is built
+    monkeypatch.setattr(sections, "pi_forms", None)
+    for argv in (
+        ("count", "lagrangian:316", "--q", "2", "--budget-points", "40"),
+        ("build", "lagrangian:316", "--q", "2", "--budget-points", "40", "--out", str(tmp_path / "x.code")),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_BUDGET and out == ""
+        assert err == "budget exceeded: G(316,632)(F_2) point count needs at least 2^99857 > budget 40\n"
 
 
 def test_budget_env_override(capsys, monkeypatch):

@@ -11,9 +11,11 @@ from conftest import (
     field,
     is_isotropic,
     point_set,
+    reference_points,
     schubert_member_flag,
     schubert_member_plucker,
     subspace_of_point,
+    symplectic_form,
     variety,
 )
 from grasscode.errors import SpecParseError
@@ -22,6 +24,7 @@ from grasscode.indices import enumerate_index_tuples, index_positions
 from grasscode.linalg import Mat, maximal_minors, rref_batch, rref_free_positions, zeros
 from grasscode.sections import (
     KINDS,
+    _isotropic_mask,
     cell_histogram,
     closed_form_count,
     combinatorial_dimension,
@@ -36,7 +39,6 @@ from grasscode.sections import (
     pi_forms,
     schubert_count,
     schubert_union_count,
-    symplectic_form,
     verify_ffn,
 )
 
@@ -286,7 +288,7 @@ def test_lag_union_is_set_union():
     a = point_set(variety("lag-schubert:2:2,4", 2))
     b = point_set(variety("lag-schubert:2:1,4", 2))
     assert point_set(union) == a | b
-    # every declared form vanishes on the union (validated at build time too)
+    # every declared form vanishes on the union (the filter keeps no other point)
     prods = union.field.matmul(union.defining_forms.a, union.point_matrix().a)
     assert not prods.any()
 
@@ -356,6 +358,60 @@ def test_flag_oracle_catches_corrupted_minors(monkeypatch, spec):
     monkeypatch.setattr(grassmann, "maximal_minors", corrupted)
     with pytest.raises(RuntimeError, match="oracles disagree"):
         enumerate_variety(parse_variety_spec(spec), field(2))
+
+
+@pytest.mark.parametrize("spec,m,coord", [("lagrangian:2", 4, (1, 4)), ("isotropic:2,3", 6, (1, 6))])
+def test_gram_oracle_catches_corrupted_minors(monkeypatch, spec, m, coord):
+    # the first point is span{e_1, e_2}, isotropic by its Gram test; with
+    # p_coord = 1 the one form through that coordinate (p_14 + p_23 for
+    # lagrangian:2, the contraction onto I(0, 6) for isotropic:2,3) does not vanish
+    minors = grassmann.maximal_minors
+    col = index_positions(2, m)[coord]
+
+    def corrupted(f, bases):
+        out = minors(f, bases)
+        out[0, col] = 1
+        return out
+
+    enumerate_variety(parse_variety_spec(spec), field(3))
+    monkeypatch.setattr(grassmann, "maximal_minors", corrupted)
+    with pytest.raises(RuntimeError, match="oracles disagree"):
+        enumerate_variety(parse_variety_spec(spec), field(3))
+
+
+@pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
+def test_isotropic_mask_matches_gram_reference(p, e):
+    # random full-rank bases, and isotropic ones: span{e_1..e_l} moved by
+    # random symplectic transvections x -> x + c <x, v> v, then by a random
+    # change of basis; odd characteristic catches a sign slip
+    f = field(p, e)
+    rng = np.random.default_rng(100 * p + e)
+    seen = set()
+    for n in (1, 2, 3):
+        form = symplectic_form(n, f)
+        for ell in range(1, n + 1):
+            bases = [rng.integers(0, f.q, size=(ell, 2 * n)) for _ in range(60)]
+            for _ in range(20):
+                basis = np.eye(2 * n, dtype=np.int64)[:ell]
+                for _ in range(4):
+                    v = rng.integers(0, f.q, size=(2 * n, 1))
+                    pairing = f.matmul(f.matmul(basis, form.gram.a), v)
+                    basis = f.add_arr(basis, f.mul_arr(f.mul_arr(pairing, int(rng.integers(1, f.q))), v.T))
+                bases.append(f.matmul(rng.integers(0, f.q, size=(ell, ell)), basis))
+            bases = np.array([b for b in bases if Mat(f, b).rank() == ell])
+            expected = [is_isotropic(Mat(f, b), form) for b in bases]
+            assert _isotropic_mask(f, bases).tolist() == expected
+            seen.update(expected)
+    assert seen == {True, False}
+
+
+@pytest.mark.parametrize(
+    "spec,q",
+    [(text, q) for text in SPEC_CASES.values() for q in (2, 3)]
+    + [("isotropic:3,4", 2), ("lag-union:3:1,4,6;2,3,6", 2), ("schubert:3,6:2,4,6", 2)],
+)
+def test_forms_rule_matches_per_point_reference(spec, q):
+    assert np.array_equal(variety(spec, q).points, reference_points(spec, q))
 
 
 def test_defining_forms_annihilate_points():
