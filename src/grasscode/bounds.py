@@ -29,7 +29,6 @@ from .indices import (
 from .sections import (
     VarietySpec,
     combinatorial_dimension,
-    contraction_matrix,
     elambda_length_formula,
     enumerate_variety,
     isotropic_count,
@@ -37,7 +36,6 @@ from .sections import (
     linear_hull,
     make_spec,
     parse_variety_spec,
-    pi_forms,
     schubert_count,
     schubert_union_count,
     verify_ffn,
@@ -454,8 +452,8 @@ def _lagrangian_claims(field, n, variety, budget_scans):
             "maximal isotropic subspaces are exactly the Lagrangian points",
         )
     )
-    cmat = contraction_matrix(n, field)
-    pimat = pi_forms(n, field)
+    cmat = variety(f"isotropic:{n},{n}").defining_forms
+    pimat = lsys.defining_forms
     out.append(
         _bool_report(
             f"contraction-kernel-identity[n={n},q={q}]",

@@ -77,15 +77,16 @@ class LinearCode:
 
 
 def build_code(system: ProjSystem) -> LinearCode:
-    """Code of the projective system; columns follow the system's point order."""
+    """Code of the projective system; columns follow the system's point order.
+
+    The generator is the rref basis of the row space of the point matrix,
+    so k is its rank.  ``bounds`` checks k against the rank of the
+    defining forms, which is other arithmetic than this elimination.
+    """
     if not len(system):
         raise ValueError("empty projective system defines no code")
-    pmat = system.point_matrix()
-    gen = pmat.rref_basis()
-    k = gen.rows
-    if k != system.ambient_dim - pmat.left_kernel().rows:
-        raise RuntimeError("rank/kernel mismatch in code construction")
-    return LinearCode(system.field, len(system), k, gen, provenance=system.source)
+    gen = system.point_matrix().rref_basis()
+    return LinearCode(system.field, len(system), gen.rows, gen, provenance=system.source)
 
 
 # -- scans over r-dimensional subcodes -------------------------------------------

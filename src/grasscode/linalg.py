@@ -5,6 +5,10 @@ subspace representation everywhere is the reduced row echelon basis, so
 subspace comparisons are literal row comparisons.  Gaussian elimination
 picks the first nonzero entry as pivot; in exact arithmetic there is no
 scaling ambiguity.
+
+Each matrix A is reduced once, as [A | I] over all of its columns.  That
+one reduction gives the rank, the rref basis of the row space and the
+rref basis of the left kernel {v : v A = 0}, and ``Mat`` caches it.
 """
 
 from __future__ import annotations
@@ -17,12 +21,12 @@ import numpy as np
 from .field import GF
 
 
-def _row_reduce(field: GF, m: np.ndarray, pivot_col_limit: int):
-    """In-place full reduction; pivots searched in columns < pivot_col_limit."""
+def _row_reduce(field: GF, m: np.ndarray) -> list[int]:
+    """In-place full reduction over every column; returns the pivot columns."""
     rows = m.shape[0]
     pivots = []
     r = 0
-    for c in range(pivot_col_limit):
+    for c in range(m.shape[1]):
         if r == rows:
             break
         nz = np.nonzero(m[r:, c])[0]
@@ -41,7 +45,7 @@ def _row_reduce(field: GF, m: np.ndarray, pivot_col_limit: int):
             m[mask] = field.sub_arr(m[mask], field.mul_arr(col[mask, None], m[r][None, :]))
         pivots.append(c)
         r += 1
-    return m, r, tuple(pivots)
+    return pivots
 
 
 class Mat:
@@ -79,42 +83,33 @@ class Mat:
             and bool(np.array_equal(self.a, other.a))
         )
 
-    def __hash__(self):
-        return hash((self.field, self.shape, self.a.tobytes()))
-
     def __repr__(self):
         return f"Mat({self.field!r}, {self.rows}x{self.cols})"
 
-    def __matmul__(self, other: "Mat") -> "Mat":
-        if self.field != other.field:
-            raise ValueError("mixed-field matrix product")
-        if self.cols != other.rows:
-            raise ValueError("inner dimension mismatch")
-        return Mat(self.field, self.field.matmul(self.a, other.a))
+    def _reduced(self) -> tuple["Mat", "Mat"]:
+        """(rref basis, left kernel basis), both read off one reduction of [A | I].
 
-    def _reduced(self):
+        The rows with a pivot in A come first, and their A-part is rref(A).
+        The other rows are zero in A, so their I-part spans the left kernel,
+        and full reduction over the identity columns leaves it in rref.
+        """
         if self._rref is None:
-            m, rank, pivots = _row_reduce(self.field, np.array(self.a), self.cols)
-            self._rref = (Mat(self.field, m), rank, pivots)
+            rows, cols = self.shape
+            m = np.concatenate([self.a, np.eye(rows, dtype=np.int64)], axis=1)
+            rank = sum(c < cols for c in _row_reduce(self.field, m))
+            self._rref = (Mat(self.field, m[:rank, :cols]), Mat(self.field, m[rank:, cols:]))
         return self._rref
 
     def rank(self) -> int:
-        return self._reduced()[1]
+        return self._reduced()[0].rows
 
     def rref_basis(self) -> "Mat":
         """Nonzero rows of the rref: the canonical basis of the row space."""
-        echelon, rank, _ = self._reduced()
-        return Mat(self.field, echelon.a[:rank])
+        return self._reduced()[0]
 
     def left_kernel(self) -> "Mat":
         """Canonical (rref) basis of {v : v @ self = 0}."""
-        aug = np.concatenate(
-            [np.array(self.a), np.eye(self.rows, dtype=np.int64)], axis=1
-        )
-        _, rank, _ = _row_reduce(self.field, aug, self.cols)
-        ker = aug[rank:, self.cols :]
-        m, krank, _ = _row_reduce(self.field, np.array(ker), ker.shape[1])
-        return Mat(self.field, m[:krank])
+        return self._reduced()[1]
 
     def right_kernel(self) -> "Mat":
         """Canonical basis (rows) of {x : self @ x^T = 0}."""

@@ -146,15 +146,13 @@ def _isotropic_mask(field: GF, bases: np.ndarray) -> np.ndarray:
     return ~field.matmul(bj, np.swapaxes(bases, 1, 2)).any(axis=(1, 2))
 
 
-def contraction_matrix(n: int, field: GF, ell: int | None = None) -> Mat:
+def contraction_matrix(n: int, field: GF, ell: int) -> Mat:
     """Matrix of the symplectic contraction from l-vectors to (l-2)-vectors.
 
     Columns are indexed by I(l, 2n), rows by I(l-2, 2n), both lexicographic.
     The entry for deleting the pair at positions (r, s) carries the sign
     (-1)^(r+s-1) of moving that pair to the front.
     """
-    if ell is None:
-        ell = n
     if ell < 2:
         raise ValueError(f"contraction needs ell >= 2, got {ell}")
     m = 2 * n
@@ -314,9 +312,18 @@ def enumerate_variety(
 ) -> ProjSystem:
     """Filter the Grassmannian point stream by the vanishing of the kind's forms."""
     ell, m = spec.ell, spec.m
+    what = f"G({ell},{m})(F_{field.q}) point count"
+    # [m, l]_q >= q^(l(m-l)) >= 2^B: a 2^B with more digits than str() allows
+    # would print as "at least 2^..." anyway, so refuse it before the exact count
+    floor = 1 << ell * (m - ell) * (field.q.bit_length() - 1)
+    if floor > budget:
+        try:
+            str(floor)
+        except ValueError:
+            raise BudgetExceededError(what, floor, budget) from None
     upstream = gaussian_binomial(m, ell, field.q)
     if upstream > budget:
-        raise BudgetExceededError(f"G({ell},{m})(F_{field.q}) point count", upstream, budget)
+        raise BudgetExceededError(what, upstream, budget)
     ambient = len(enumerate_index_tuples(ell, m))
     forms = _defining_forms(spec, field)
     system = ProjSystem(
@@ -345,10 +352,8 @@ def linear_hull(system: ProjSystem) -> tuple[int, Mat]:
 
 def verify_ffn(system: ProjSystem) -> bool:
     """True iff the declared forms span every linear form vanishing on the points."""
-    if not len(system):
-        raise ValueError("empty projective system")
-    kernel = system.point_matrix().left_kernel()
-    return np.array_equal(kernel.a, system.defining_forms.rref_basis().a)
+    _, forms = linear_hull(system)
+    return np.array_equal(forms.a, system.defining_forms.rref_basis().a)
 
 
 # -- closed-form point counts -------------------------------------------------

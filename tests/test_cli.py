@@ -187,15 +187,21 @@ def test_budget_exceeded_exit(capsys):
 
 def test_budget_exceeded_exit_on_count_past_int_str_limit(tmp_path, capsys, monkeypatch):
     # [632, 316]_2 has about 30 000 decimal digits, past Python's int-to-str
-    # limit; the budget check comes before any form is built
+    # limit; the bound [m, l]_2 >= 2^(l(m-l)) refuses it before the exact
+    # count or any form is computed
+    def refuse(*args):
+        raise AssertionError("gaussian_binomial called")
+
     monkeypatch.setattr(sections, "pi_forms", None)
-    for argv in (
-        ("count", "lagrangian:316", "--q", "2", "--budget-points", "40"),
-        ("build", "lagrangian:316", "--q", "2", "--budget-points", "40", "--out", str(tmp_path / "x.code")),
-    ):
-        code, out, err = run_cli(capsys, *argv)
-        assert code == EXIT_BUDGET and out == ""
-        assert err == "budget exceeded: G(316,632)(F_2) point count needs at least 2^99857 > budget 40\n"
+    monkeypatch.setattr(sections, "gaussian_binomial", refuse)
+    for n, bits in ((316, 99856), (1018, 1036324)):
+        for argv in (
+            ("count", f"lagrangian:{n}", "--q", "2", "--budget-points", "40"),
+            ("build", f"lagrangian:{n}", "--q", "2", "--budget-points", "40", "--out", str(tmp_path / "x.code")),
+        ):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == EXIT_BUDGET and out == ""
+            assert err == f"budget exceeded: G({n},{2 * n})(F_2) point count needs at least 2^{bits} > budget 40\n"
 
 
 def test_budget_env_override(capsys, monkeypatch):

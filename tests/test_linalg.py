@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from conftest import det
-from grasscode.field import GF
+from grasscode import linalg
+from grasscode.field import GF, field_for_order
 from grasscode.linalg import Mat, intersect_row_spaces, maximal_minors, rref_batch, rref_chunks, vstack, zeros
 
 F2 = GF(2, 1)
@@ -17,18 +18,25 @@ def identity(field, n):
     return Mat(field, np.eye(n, dtype=np.int64))
 
 
+def _pivots(basis):
+    """Pivot column of each row of an rref basis."""
+    return tuple(int(np.flatnonzero(row)[0]) for row in basis.a)
+
+
 def test_rref_examples():
     eye = identity(F2, 3)
-    echelon, rank, pivots = eye._reduced()
-    assert echelon == eye and rank == 3 and pivots == (0, 1, 2)
+    basis, kernel = eye._reduced()
+    assert basis == eye and eye.rank() == 3 and _pivots(basis) == (0, 1, 2)
+    assert kernel == zeros(F2, 0, 3)
 
     zero = zeros(F2, 2, 4)
-    echelon, rank, pivots = zero._reduced()
-    assert echelon == zero and rank == 0 and pivots == ()
+    basis, kernel = zero._reduced()
+    assert basis == zeros(F2, 0, 4) and zero.rank() == 0 and _pivots(basis) == ()
+    assert kernel == identity(F2, 2)
 
     ones = Mat(F2, [[1, 1], [1, 1]])
-    echelon, rank, _ = ones._reduced()
-    assert echelon.a.tolist() == [[1, 1], [0, 0]] and rank == 1
+    assert ones.rref_basis().a.tolist() == [[1, 1]] and ones.rank() == 1
+    assert ones.left_kernel().a.tolist() == [[1, 1]]
 
 
 def _random_mat(field, rng, rows, cols):
@@ -40,8 +48,8 @@ def test_rref_idempotent_and_rank_nullity(field):
     rng = random.Random(12345 + field.q)
     for _ in range(100):
         m = _random_mat(field, rng, rng.randrange(1, 6), rng.randrange(1, 6))
-        echelon = m._reduced()[0]
-        assert echelon._reduced()[0] == echelon
+        echelon = m.rref_basis()
+        assert echelon.rref_basis() == echelon
         assert m.rank() + m.left_kernel().rows == m.rows
 
 
@@ -62,6 +70,71 @@ def test_left_kernel_examples():
     kernel_vectors = [v for v in product(range(2), repeat=3) if sum(v) % 2 == 0]
     assert len(kernel_vectors) == 4
     assert col.left_kernel().rows == 2
+
+
+def test_one_reduction_serves_rank_basis_and_kernel(monkeypatch):
+    calls = []
+    reduce = linalg._row_reduce
+    monkeypatch.setattr(linalg, "_row_reduce", lambda field, m: calls.append(m.shape) or reduce(field, m))
+    m = Mat(F3, [[1, 2, 0, 1], [2, 1, 0, 2], [0, 1, 1, 0]])
+    assert (m.rank(), m.rref_basis().rows, m.left_kernel().rows, m.rank()) == (2, 2, 1, 2)
+    # one pass, over [A | I]
+    assert calls == [(3, 7)]
+
+
+def _combinations(field, mat):
+    """Every coefficient vector v in F_q^rows, and v @ mat, by elementwise field arithmetic."""
+    rows, cols = mat.shape
+    coeffs = np.array(list(product(range(field.q), repeat=rows)), dtype=np.int64).reshape(field.q**rows, rows)
+    words = np.zeros((len(coeffs), cols), dtype=np.int64)
+    for i, row in enumerate(mat):
+        words = field.add_arr(words, field.mul_arr(coeffs[:, i, None], row[None, :]))
+    return coeffs, words
+
+
+def _assert_rref(basis):
+    pivots = _pivots(basis)
+    assert list(pivots) == sorted(set(pivots))
+    for i, c in enumerate(pivots):
+        assert basis.a[i, c] == 1 and np.count_nonzero(basis.a[:, c]) == 1
+
+
+def _kernel_cases(field, rng):
+    """Random (rows, cols) matrices: full rank, rank-deficient, no rows, no columns."""
+    q = field.q
+    cases = []
+    while len(cases) < 4:
+        rows, cols = rng.integers(1, 4, size=2)
+        a = rng.integers(0, q, size=(rows, cols))
+        _, words = _combinations(field, a)
+        if np.count_nonzero(~words.any(axis=1)) == q ** (rows - min(rows, cols)):
+            cases.append(a)
+    for _ in range(4):
+        rows, cols = rng.integers(2, 4, size=2)
+        inner = rng.integers(1, min(rows, cols))
+        cases.append(field.matmul(rng.integers(0, q, size=(rows, inner)), rng.integers(0, q, size=(inner, cols))))
+    cases += [np.zeros((0, 3), dtype=np.int64), np.zeros((3, 0), dtype=np.int64), np.zeros((2, 3), dtype=np.int64)]
+    return cases
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9])
+def test_left_kernel_matches_brute_force(q):
+    field = field_for_order(q)
+    rng = np.random.default_rng(404 + q)
+    for a in _kernel_cases(field, rng):
+        mat = Mat(field, a)
+        coeffs, words = _combinations(field, mat.a)
+        expected = {tuple(v) for v in coeffs[~words.any(axis=1)].tolist()}
+        ker = mat.left_kernel()
+        _assert_rref(ker)
+        assert ker.cols == mat.rows and len(expected) == q**ker.rows
+        assert {tuple(v) for v in _combinations(field, ker.a)[1].tolist()} == expected
+        # the same reduction's basis spans the row space
+        basis = mat.rref_basis()
+        _assert_rref(basis)
+        assert basis.rows == mat.rank() == mat.rows - ker.rows
+        row_space = {tuple(v) for v in words.tolist()}
+        assert {tuple(v) for v in _combinations(field, basis.a)[1].tolist()} == row_space
 
 
 def test_row_space_equal():
@@ -145,8 +218,6 @@ def test_intersect_row_spaces_against_enumeration(field):
 def test_vstack_and_mixed_field_errors():
     with pytest.raises(ValueError):
         vstack([identity(F2, 2), identity(F3, 2)])
-    with pytest.raises(ValueError):
-        _ = identity(F2, 2) @ identity(F3, 2)
     stacked = vstack([identity(F2, 2), zeros(F2, 1, 2)])
     assert stacked.shape == (3, 2)
 
@@ -162,8 +233,9 @@ def test_rref_chunks_count_subspaces(field, r, k, total):
     keys = []
     for mat in stacks[0]:
         m = Mat(field, mat)
-        echelon, rank, pivots = m._reduced()
-        assert rank == r and echelon == m
+        basis = m.rref_basis()
+        pivots = _pivots(basis)
+        assert m.rank() == r and basis == m
         # pivot sets in lex order, then the free entries as a row-major odometer
         keys.append((pivots, tuple(mat.ravel().tolist())))
     assert len(keys) == total

@@ -105,7 +105,7 @@ def test_is_isotropic_examples():
 
 def test_contraction_n2():
     for q in (2, 3):
-        c = contraction_matrix(2, field(q))
+        c = contraction_matrix(2, field(q), 2)
         assert c.a.tolist() == [[0, 0, 1, 1, 0, 0]]  # X14 + X23
 
 
@@ -113,7 +113,7 @@ def test_contraction_n3_columns():
     pos3 = index_positions(3, 6)
     pos1 = index_positions(1, 6)
     for q in (2, 3):
-        c = contraction_matrix(3, field(q)).a
+        c = contraction_matrix(3, field(q), 3).a
         assert c.shape == (6, 20)
         # no symplectic pair inside (1,2,3): the column vanishes
         assert not c[:, pos3[(1, 2, 3)]].any()
@@ -145,7 +145,7 @@ def test_pi_forms_n3():
 @pytest.mark.parametrize("n", [2, 3])
 def test_contraction_kernel_equals_pi_zero_set(n, q):
     f = field(q)
-    cmat = contraction_matrix(n, f)
+    cmat = contraction_matrix(n, f, n)
     pimat = pi_forms(n, f)
     assert cmat.right_kernel() == pimat.right_kernel()
 
