@@ -4,6 +4,12 @@ Each check produces a BoundReport with integer sides and a literal
 pass/fail; nothing is assumed.  Claims whose literal range is wider than
 what their derivation supports are marked disputed so a literal failure is
 flagged instead of failing a verification run.
+
+``run_suite`` works one field at a time.  It keeps the field's
+enumerated systems by spec string, one ``store`` of G(l, m) batches that
+every spec on that Grassmannian filters (``sections.enumerate_variety``),
+and each G(l, m) code with its d_r, which the Grassmann and the
+Lagrangian claims share.  All of it is dropped before the next field.
 """
 
 from __future__ import annotations
@@ -301,27 +307,54 @@ def run_suite(
     budget_points: int = DEFAULT_POINT_BUDGET,
     budget_scans: int = DEFAULT_SCAN_BUDGET,
 ) -> list[BoundReport]:
-    """Every desk-scale claim for the requested grid of fields, sorted by claim id."""
+    """Every desk-scale claim for the requested grid of fields, sorted by claim id.
+
+    Per field, each spec is enumerated once, every spec on one G(l, m)
+    filters one stored stream of its batches, and each G(l, m) code and
+    its d_r are computed once.  A pair's batches and code are dropped
+    after its claims unless a Lagrangian claim reads that G(l, m) again.
+    """
     reports: list[BoundReport] = []
+    # the Grassmannians G(l, 2n), l <= n, that the Lagrangian claims read again
+    lagrangian_reads = {(ell, 2 * n) for n in lagrangian_ns for ell in range(1, n + 1)}
     for field in fields:
+        store: dict = {}
         systems: dict[str, object] = {}
+        codes: dict[tuple[int, int], object] = {}
+        drs: dict[tuple[int, int, int], int | None] = {}
 
         def variety(spec_str: str):
             if spec_str not in systems:
                 systems[spec_str] = enumerate_variety(
-                    parse_variety_spec(spec_str), field, budget_points
+                    parse_variety_spec(spec_str), field, budget_points, store
                 )
             return systems[spec_str]
 
+        def grassmann_dr(ell: int, m: int, r: int) -> int | None:
+            """d_r of the G(l, m) code; None when r > k or the scan is over budget."""
+            if (ell, m, r) not in drs:
+                if (ell, m) not in codes:
+                    codes[ell, m] = build_code(variety(f"grassmann:{ell},{m}"))
+                code = codes[ell, m]
+                drs[ell, m, r] = (
+                    _scanned(lambda: higher_weight(code, r, budget=budget_scans)) if r <= code.k else None
+                )
+            return drs[ell, m, r]
+
         for ell, m in grassmann_pairs:
-            reports.extend(_grassmann_claims(field, ell, m, variety, budget_scans))
+            reports.extend(_grassmann_claims(field, ell, m, variety, grassmann_dr))
+            if (ell, m) not in lagrangian_reads:
+                # free the batches and the r = 1 tables of G(l, m) now, so the
+                # peak holds one pair's, not the whole grid's
+                store.pop((ell, m), None)
+                codes.pop((ell, m), None)
         for n in lagrangian_ns:
-            reports.extend(_lagrangian_claims(field, n, variety, budget_scans))
+            reports.extend(_lagrangian_claims(field, n, variety, grassmann_dr, budget_scans))
     reports.sort(key=lambda rep: rep.claim)
     return reports
 
 
-def _grassmann_claims(field, ell, m, variety, budget_scans):
+def _grassmann_claims(field, ell, m, variety, grassmann_dr):
     q = field.q
     out = []
     gsys = variety(f"grassmann:{ell},{m}")
@@ -343,14 +376,11 @@ def _grassmann_claims(field, ell, m, variety, budget_scans):
             "no linear form vanishes on all rational points",
         )
     )
-    code = build_code(gsys)
     for r in range(1, dr_equality_max(ell, m) + 1):
         claim = f"grassmann-dr[l={ell},m={m},q={q},r={r}]"
         params = {"l": ell, "m": m, "q": q, "r": r}
         cite = "Grassmann higher-weight formula"
-        dr = None
-        if r <= code.k:
-            dr = _scanned(lambda: higher_weight(code, r, budget=budget_scans))
+        dr = grassmann_dr(ell, m, r)
         if dr is None:
             note = "not evaluated: subcode scan over budget"
             out.append(_unevaluated(claim, params, "==", cite, note))
@@ -405,7 +435,7 @@ def _grassmann_claims(field, ell, m, variety, budget_scans):
     return out
 
 
-def _lagrangian_claims(field, n, variety, budget_scans):
+def _lagrangian_claims(field, n, variety, grassmann_dr, budget_scans):
     q = field.q
     out = []
     lsys = variety(f"lagrangian:{n}")
@@ -505,7 +535,6 @@ def _lagrangian_claims(field, n, variety, budget_scans):
         )
         return out
     out.extend(mindist_bound_checks(lsys, d))
-    gcode = build_code(gsys)
     sizes = {"L": len(lsys.points), "G": len(gsys.points), "dim_v": hull_dim}
     for r in (1, 2):
         rprime = comb(2 * n, n) - hull_dim + r
@@ -514,8 +543,8 @@ def _lagrangian_claims(field, n, variety, budget_scans):
         d_rp_G = d_r_L = None
         if 1 <= rprime <= dr_equality_max(n, 2 * n):
             d_rp_G = grassmann_dr_formula(n, 2 * n, q, rprime)
-        elif 1 <= rprime <= gcode.k:
-            d_rp_G = _scanned(lambda: higher_weight(gcode, rprime, budget=budget_scans))
+        else:
+            d_rp_G = grassmann_dr(n, 2 * n, rprime)
         if d_rp_G is not None and r <= code.k:
             d_r_L = _scanned(lambda: higher_weight(code, r, budget=budget_scans))
         if d_r_L is None:
@@ -532,9 +561,7 @@ def _lagrangian_claims(field, n, variety, budget_scans):
             out.extend(lagrangian_dr_sandwich(n, q, r, **sizes, d_r_L=d_r_L, d_rp_G=d_rp_G))
     counts = {"L": len(lsys.points), "G": len(gsys.points), "dimV": hull_dim}
     for r in (1, 2, 3):
-        dr = None
-        if r <= gcode.k:
-            dr = _scanned(lambda: higher_weight(gcode, r, budget=budget_scans))
+        dr = grassmann_dr(n, 2 * n, r)
         if dr is None:
             out.append(
                 _unevaluated(

@@ -13,6 +13,11 @@ A point set is one read-only ``(N, K)`` int64 array, K = C(m, l), rows in
 canonical order.  Enumerations write each batch into a single array
 allocated at the upstream point count (``stack_rows``), never into a
 list of tuples or of chunks.
+
+The batch stream itself is kept only when the caller passes a ``store``:
+``bounds.run_suite`` passes one per field, so every spec on the same
+G(l, m) replays one list of batches instead of generating them again.
+``count`` and ``build`` pass none and stream, holding one batch at a time.
 """
 
 from __future__ import annotations
@@ -82,8 +87,26 @@ def stack_rows(parts, capacity: int, width: int) -> np.ndarray:
     return out
 
 
-def iter_grassmann_cells(ell: int, m: int, field: GF, chunk: int = 2048):
-    """Yield (pivot tuple, bases (N,l,m), coords (N,K)) batches in canonical order."""
+def iter_grassmann_cells(ell: int, m: int, field: GF, chunk: int = 2048, store: dict | None = None):
+    """Yield (pivot tuple, bases (N,l,m), coords (N,K), memo) batches in canonical order.
+
+    ``memo`` is a dict per batch in which a consumer keeps what it derives
+    from that batch alone.  With a ``store`` (one per field), the first
+    call for (l, m) that runs to the end keeps its batches, memos
+    included, under that key, and later calls replay them.
+    """
+    if store is not None and (ell, m) in store:
+        yield from store[ell, m]
+        return
+    batches = []
     for pivots, start, stop in rref_chunks(field.q, ell, m, chunk):
         bases = rref_batch(field.q, m, pivots, start, stop)
-        yield tuple(p + 1 for p in pivots), bases, maximal_minors(field, bases)
+        coords = maximal_minors(field, bases)
+        # replayed batches are shared by every consumer: none may write to them
+        bases.flags.writeable = coords.flags.writeable = False
+        batch = (tuple(p + 1 for p in pivots), bases, coords, {})
+        if store is not None:
+            batches.append(batch)
+        yield batch
+    if store is not None:
+        store[ell, m] = batches

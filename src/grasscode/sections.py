@@ -14,7 +14,10 @@ text, which ``parse_variety_spec``, ``VarietySpec.serialize`` and
 point count where the kind has one.
 
 Point sets are the (N, K) arrays of ``grassmann.ProjSystem``, filtered
-one batch of the Grassmannian stream at a time with array masks.
+one batch of the Grassmannian stream at a time with array masks.  Given
+a ``store`` (``bounds.run_suite`` passes one per field), the stream of
+each G(l, m) is generated once and replayed for every later spec on it,
+through the same generator and the same filter.
 
 Every kind is a linear section, so one rule decides membership: a point
 is kept iff every form of ``_defining_forms`` vanishes on its Plücker
@@ -23,7 +26,9 @@ check that rule on every batch, in arithmetic that uses no minor: the
 symplectic kinds by the Gram test B J B^T = 0, the Schubert kinds
 (``schubert``, ``union``, ``lag-*``) by the flag condition
 dim(W ∩ span{e_1..e_t}) >= i at t = lam_i for some lam, read off the jump
-positions that ``flag_cells`` finds by elimination on the bases.  A
+positions that ``flag_cells`` finds by elimination on the bases.  Those
+positions and the Gram mask depend on the batch alone, so each is
+computed at most once per batch, also across the specs replaying it.  A
 disagreement raises immediately.  A point's Bruhat cell is the lex-last
 index in the support of its Plücker vector (Fulton, *Young Tableaux*,
 ch. 9), which is how ``cell_histogram`` counts cells.
@@ -278,26 +283,35 @@ def _defining_forms(spec: VarietySpec, field: GF) -> Mat:
     raise ValueError(f"unknown kind {spec.kind!r}")
 
 
-def _oracle(spec: VarietySpec, field: GF, bases: np.ndarray) -> np.ndarray | None:
-    """Membership read off the bases alone, never the minors; None for kinds with no such test."""
+def _oracle(spec: VarietySpec, field: GF, bases: np.ndarray, memo: dict) -> np.ndarray | None:
+    """Membership read off the bases alone, never the minors; None for kinds with no such test.
+
+    The Gram mask and the flag cells depend on the batch alone, not on the
+    kind or λ, so each is computed on first use and kept in the batch's memo.
+    """
     mask = None
     if spec.kind in ("lagrangian", "isotropic", "lag-schubert", "lag-union"):
-        mask = _isotropic_mask(field, bases)
+        if "gram" not in memo:
+            memo["gram"] = _isotropic_mask(field, bases)
+        mask = memo["gram"]
     if spec.kind in ("schubert", "union", "lag-schubert", "lag-union"):
+        if "flag" not in memo:
+            memo["flag"] = flag_cells(field, bases)
         lams = np.array(spec.tuples)[:, None]
-        flag = (flag_cells(field, bases)[None] <= lams).all(axis=2).any(axis=0)
+        flag = (memo["flag"][None] <= lams).all(axis=2).any(axis=0)
         mask = flag if mask is None else mask & flag
     return mask
 
 
-def _kept(spec: VarietySpec, field: GF, forms: Mat):
+def _kept(spec: VarietySpec, field: GF, forms: Mat, store: dict | None):
     """The points of each batch of the Grassmannian stream on which every form vanishes.
 
-    The kind's oracle on the bases must agree on every candidate.
+    The kind's oracle on the bases must agree on every candidate, replayed
+    batches of a ``store`` included.
     """
-    for pivots, bases, coords in iter_grassmann_cells(spec.ell, spec.m, field):
+    for pivots, bases, coords, memo in iter_grassmann_cells(spec.ell, spec.m, field, store=store):
         mask = ~field.matmul(coords, forms.a.T).any(axis=1)
-        oracle = _oracle(spec, field, bases)
+        oracle = _oracle(spec, field, bases, memo)
         if oracle is not None:
             wrong = np.flatnonzero(mask != oracle)
             if wrong.size:
@@ -308,9 +322,14 @@ def _kept(spec: VarietySpec, field: GF, forms: Mat):
 
 
 def enumerate_variety(
-    spec: VarietySpec, field: GF, budget: int = DEFAULT_POINT_BUDGET
+    spec: VarietySpec, field: GF, budget: int = DEFAULT_POINT_BUDGET, store: dict | None = None
 ) -> ProjSystem:
-    """Filter the Grassmannian point stream by the vanishing of the kind's forms."""
+    """Filter the Grassmannian point stream by the vanishing of the kind's forms.
+
+    ``store`` is handed to ``iter_grassmann_cells``: specs on the same
+    G(l, m) over ``field`` then share one generated list of batches.  The
+    budget is checked first, so a refused spec builds and stores nothing.
+    """
     ell, m = spec.ell, spec.m
     what = f"G({ell},{m})(F_{field.q}) point count"
     # [m, l]_q >= q^(l(m-l)) >= 2^B: a 2^B with more digits than str() allows
@@ -329,7 +348,7 @@ def enumerate_variety(
     system = ProjSystem(
         field,
         ambient,
-        stack_rows(_kept(spec, field, forms), upstream, ambient),
+        stack_rows(_kept(spec, field, forms, store), upstream, ambient),
         forms,
         ell=ell,
         m=m,

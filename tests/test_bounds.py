@@ -1,9 +1,12 @@
+import gc
+from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from conftest import field, varieties, variety
-from grasscode import bounds
+from grasscode import bounds, grassmann
 from grasscode.bounds import (
     BoundReport,
     close_family_section_bound,
@@ -16,8 +19,8 @@ from grasscode.bounds import (
     run_suite,
     section_code_params_check,
 )
-from grasscode.codes import build_code, higher_weight, min_distance
-from grasscode.grassmann import ProjSystem
+from grasscode.codes import LinearCode, build_code, higher_weight, min_distance
+from grasscode.grassmann import ProjSystem, iter_grassmann_cells
 from grasscode.indices import enumerate_index_tuples, is_close_family
 from grasscode.sections import linear_hull
 
@@ -175,18 +178,48 @@ def test_mindist_bound_checks():
 
 
 def test_run_suite_small_grid(monkeypatch):
-    enumerated = []
-    enumerate_variety = bounds.enumerate_variety
+    enumerated, built, scanned = [], [], []
+    generated = Counter()
+    enumerate_variety, build_code_, higher_weight_ = (
+        bounds.enumerate_variety, bounds.build_code, bounds.higher_weight
+    )
+    minors = grassmann.maximal_minors
+    # batches of one streaming pass over each Grassmannian the grid touches
+    stream = {
+        (q, ell, m): sum(1 for _ in iter_grassmann_cells(ell, m, field(q)))
+        for q in (2, 3)
+        for ell, m in [(2, 4), (1, 4)]
+    }
 
-    def counted(spec, field, budget):
-        enumerated.append(spec.serialize())
-        return enumerate_variety(spec, field, budget)
+    def counted(spec, field, budget, store):
+        enumerated.append((spec.serialize(), field.q))
+        return enumerate_variety(spec, field, budget, store)
+
+    def counted_minors(f, bases):
+        generated[(f.q, *bases.shape[1:])] += 1
+        return minors(f, bases)
+
+    def counted_build(system):
+        built.append((system.source.serialize(), system.field.q))
+        return build_code_(system)
+
+    def counted_scan(code, r, **kwargs):
+        scanned.append((code.source_string(), code.field.q, r))
+        return higher_weight_(code, r, **kwargs)
 
     monkeypatch.setattr(bounds, "enumerate_variety", counted)
-    reports = run_suite([field(2)], grassmann_pairs=[(2, 4)], lagrangian_ns=[2])
+    monkeypatch.setattr(grassmann, "maximal_minors", counted_minors)
+    monkeypatch.setattr(bounds, "build_code", counted_build)
+    monkeypatch.setattr(bounds, "higher_weight", counted_scan)
+    reports = run_suite([field(2), field(3)], grassmann_pairs=[(2, 4)], lagrangian_ns=[2])
     # one variety cache serves every claim, the close-family sections included
     assert len(enumerated) == len(set(enumerated))
-    assert "lagrangian:2" in enumerated
+    assert ("lagrangian:2", 2) in enumerated
+    # every spec on one G(l, m) replays one generated stream per field
+    assert generated == stream
+    # the Grassmann and Lagrangian claims share one G(2,4) code and each of its d_r
+    assert built.count(("grassmann:2,4", 2)) == built.count(("grassmann:2,4", 3)) == 1
+    assert len(scanned) == len(set(scanned))
     assert reports == sorted(reports, key=lambda rep: rep.claim)
     failures = [r for r in reports if r.holds is False and not r.disputed]
     assert failures == []
@@ -197,6 +230,36 @@ def test_run_suite_small_grid(monkeypatch):
     }
     cap1 = [r for r in reports if r.claim == "grassmann-dr-cap[n=2,q=2,r=1]"][0]
     assert cap1.holds and not cap1.disputed
+
+
+def test_stored_enumerations_match_streaming(monkeypatch):
+    # the grid of the benchmark's suite job; scans are refused, enumerations are not
+    seen, held = [], []
+    enumerate_variety, lagrangian_claims = bounds.enumerate_variety, bounds._lagrangian_claims
+
+    def recorded(spec, f, budget, store):
+        assert store is not None
+        system = enumerate_variety(spec, f, budget, store)
+        seen.append((spec, f, system, store))
+        return system
+
+    def inspected(f, n, *args):
+        # what the Grassmann claims left alive for the Lagrangian claims
+        gc.collect()
+        codes = {o.source_string() for o in gc.get_objects() if isinstance(o, LinearCode) and o.field is f}
+        held.append((f.q, set(seen[-1][3]), codes))
+        return lagrangian_claims(f, n, *args)
+
+    monkeypatch.setattr(bounds, "enumerate_variety", recorded)
+    monkeypatch.setattr(bounds, "_lagrangian_claims", inspected)
+    run_suite([field(2), field(3)], grassmann_pairs=[(2, 4), (2, 5)], lagrangian_ns=[2], budget_scans=1)
+    assert len(seen) == 354
+    for spec, f, system, _ in seen:
+        fresh = enumerate_variety(spec, f)
+        assert np.array_equal(system.points, fresh.points)
+        assert np.array_equal(system.defining_forms.a, fresh.defining_forms.a)
+    # G(2,5) is dropped after its own claims; G(2,4) is kept for lagrangian:2
+    assert held == [(q, {(2, 4)}, {"grassmann:2,4"}) for q in (2, 3)]
 
 
 def test_run_suite_empty_grid():

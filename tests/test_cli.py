@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grasscode.cli as cli
+import grasscode.grassmann as grassmann
 import grasscode.sections as sections
 from conftest import variety
 from grasscode.bounds import BoundReport
@@ -202,6 +203,25 @@ def test_budget_exceeded_exit_on_count_past_int_str_limit(tmp_path, capsys, monk
             code, out, err = run_cli(capsys, *argv)
             assert code == EXIT_BUDGET and out == ""
             assert err == f"budget exceeded: G({n},{2 * n})(F_2) point count needs at least 2^{bits} > budget 40\n"
+
+
+def test_verify_budget_exceeded_builds_no_cell(capsys, monkeypatch):
+    # q = 2 runs its claims; [4, 2]_3 = 130 is over the budget, so q = 3
+    # is refused before a cell of G(2,4) over F_3 is built or stored
+    rref_batch = grassmann.rref_batch
+    built = []
+
+    def recorded(q, *args):
+        built.append(q)
+        return rref_batch(q, *args)
+
+    monkeypatch.setattr(grassmann, "rref_batch", recorded)
+    code, out, err = run_cli(
+        capsys, "verify", "--q", "2,3", "--grassmann", "2,4", "--lagrangian-n", "2", "--budget-points", "35"
+    )
+    assert code == EXIT_BUDGET and out == ""
+    assert err == "budget exceeded: G(2,4)(F_3) point count needs 130 > budget 35\n"
+    assert set(built) == {2}
 
 
 def test_budget_env_override(capsys, monkeypatch):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import grasscode.grassmann as grassmann
+import grasscode.sections as sections
 from conftest import (
     SPEC_CASES,
     bruhat_cell_of,
@@ -18,7 +19,7 @@ from conftest import (
     symplectic_form,
     variety,
 )
-from grasscode.errors import SpecParseError
+from grasscode.errors import BudgetExceededError, SpecParseError
 from grasscode.grassmann import ProjSystem
 from grasscode.indices import enumerate_index_tuples, index_positions
 from grasscode.linalg import Mat, maximal_minors, rref_batch, rref_free_positions, zeros
@@ -377,6 +378,48 @@ def test_gram_oracle_catches_corrupted_minors(monkeypatch, spec, m, coord):
     monkeypatch.setattr(grassmann, "maximal_minors", corrupted)
     with pytest.raises(RuntimeError, match="oracles disagree"):
         enumerate_variety(parse_variety_spec(spec), field(3))
+
+
+@pytest.mark.parametrize(
+    "spec,part",
+    [
+        ("schubert:2,4:2,4", "flag_cells"),
+        ("union:2,4:2,4;1,4", "flag_cells"),
+        ("lag-union:2:2,4;1,4", "flag_cells"),
+        ("lag-union:2:2,4;1,4", "_isotropic_mask"),
+        ("lagrangian:2", "_isotropic_mask"),
+        ("isotropic:2,3", "_isotropic_mask"),
+    ],
+)
+def test_oracle_checks_replayed_batches(monkeypatch, spec, part):
+    # a grassmann spec stores the batches without any oracle part; the
+    # spec under test replays them and computes its part then.  The first
+    # point is span{e_1, e_2}: isotropic, and in every Schubert variety here
+    s = parse_variety_spec(spec)
+    store = {}
+    enumerate_variety(make_spec("grassmann", s.ell, s.m), field(3), store=store)
+    real = getattr(sections, part)
+
+    def corrupted(f, bases):
+        out = real(f, bases).copy()
+        out[0] = np.arange(s.m - s.ell + 1, s.m + 1) if part == "flag_cells" else ~out[0]
+        return out
+
+    def regenerated(*args):
+        raise AssertionError("a stored G(l, m) was generated again")
+
+    monkeypatch.setattr(sections, part, corrupted)
+    monkeypatch.setattr(grassmann, "maximal_minors", regenerated)
+    with pytest.raises(RuntimeError, match="oracles disagree"):
+        enumerate_variety(s, field(3), store=store)
+
+
+def test_refused_spec_stores_nothing(monkeypatch):
+    store = {}
+    monkeypatch.setattr(grassmann, "rref_batch", None)
+    with pytest.raises(BudgetExceededError):
+        enumerate_variety(parse_variety_spec("lagrangian:2"), field(3), budget=129, store=store)
+    assert store == {}
 
 
 @pytest.mark.parametrize("p,e", [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)])
