@@ -5,11 +5,12 @@ pass/fail; nothing is assumed.  Claims whose literal range is wider than
 what their derivation supports are marked disputed so a literal failure is
 flagged instead of failing a verification run.
 
-``run_suite`` works one field at a time.  It keeps the field's
-enumerated systems by spec string, one ``store`` of G(l, m) batches that
-every spec on that Grassmannian filters (``sections.enumerate_variety``),
-and each G(l, m) code with its d_r, which the Grassmann and the
-Lagrangian claims share.  All of it is dropped before the next field.
+``run_suite`` works one field at a time and, inside a field, one
+Grassmannian at a time.  A visit to G(l, m) holds one ``store`` of its
+batches, which every spec on it filters (``sections.enumerate_variety``),
+and the G(l, m) code with its d_r, which the Grassmann and the Lagrangian
+claims share.  Each section is enumerated once, read by its claims and
+dropped; the rest goes when the visit returns.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 
 from .codes import DEFAULT_SCAN_BUDGET, build_code, higher_weight, min_distance
 from .errors import BudgetExceededError
-from .field import GF
 from .grassmann import DEFAULT_POINT_BUDGET
 from .indices import (
     enumerate_index_tuples,
@@ -30,17 +30,12 @@ from .indices import (
     gaussian_binomial,
     index_positions,
     is_close_family,
-    schubert_cell_dimension,
 )
 from .sections import (
-    VarietySpec,
-    combinatorial_dimension,
     elambda_length_formula,
     enumerate_variety,
     isotropic_count,
     lagrangian_count,
-    linear_hull,
-    make_spec,
     parse_variety_spec,
     schubert_count,
     schubert_union_count,
@@ -170,17 +165,13 @@ def grassmann_dr_cap_check(n: int, q: int, r: int, dr_value: int, counts: dict) 
     )
 
 
-def close_family_section_bound(n: int, field: GF, lam_set, variety) -> BoundReport:
-    """Points of the Lagrangian with all family coordinates zero, vs. the count bound.
-
-    variety maps a spec string to its enumerated system over field.
-    """
+def close_family_section_bound(system, lam_set) -> BoundReport:
+    """Points of the Lagrangian system with all family coordinates zero, vs. the count bound."""
     lam_set = tuple(sorted({tuple(t) for t in lam_set}))
     if not is_close_family(lam_set):
         raise ValueError(f"{lam_set} is not a close family")
-    q = field.q
+    n, q = system.ell, system.field.q
     k = len(lam_set)
-    system = variety(make_spec("lagrangian", n, 2 * n).serialize())
     pos = index_positions(n, 2 * n)
     cols = [pos[t] for t in lam_set]
     count = int((~system.points[:, cols].any(axis=1)).sum())
@@ -196,23 +187,10 @@ def close_family_section_bound(n: int, field: GF, lam_set, variety) -> BoundRepo
     )
 
 
-def section_code_params_check(
-    ell: int,
-    m: int,
-    field: GF,
-    lam_set,
-    variety,
-) -> list[BoundReport]:
-    """Length formula and dimension check for a coordinate-vanishing section code.
-
-    variety maps a spec string to its enumerated system over field.
-    """
-    lam_set = tuple(sorted({tuple(t) for t in lam_set}))
-    if not lam_set:
-        raise ValueError("need at least one index tuple")
-    q = field.q
-    spec = make_spec("elambda", ell, m, lam_set)
-    system = variety(spec.serialize())
+def section_code_params_check(system) -> list[BoundReport]:
+    """Length formula and dimension check for the code of an ``elambda`` section."""
+    spec = system.source
+    ell, m, q, lam_set = spec.ell, spec.m, system.field.q, spec.tuples
     lams = "|".join(format_tuple(t) for t in lam_set)
     close = is_close_family(lam_set)
     params = {
@@ -261,32 +239,6 @@ def section_code_params_check(
     return reports
 
 
-def mindist_bound_checks(system, d: int) -> list[BoundReport]:
-    """The minimum distance d of the system's code against the bound stated for its kind."""
-    spec = system.source
-    if not isinstance(spec, VarietySpec):
-        raise ValueError(f"unknown provenance {spec!r}")
-    if spec.kind == "isotropic":
-        return []
-    if spec.kind == "grassmann":
-        relation, expo = "==", spec.ell * (spec.m - spec.ell)
-        cite = "Grassmann code distance q^delta"
-    elif spec.kind in ("schubert", "union"):
-        relation, expo = "<=", max(schubert_cell_dimension(lam) for lam in spec.tuples)
-        cite = "distance bounded by q^dim of the Schubert union"
-    elif spec.kind == "lagrangian":
-        relation, expo = "<", spec.n * (spec.n + 1) // 2
-        cite = "Lagrangian code distance strictly below q^(n(n+1)/2)"
-    elif spec.kind in ("lag-schubert", "lag-union"):
-        relation, expo = "<=", combinatorial_dimension(system)
-        cite = "distance bounded by q^dim of the Lagrangian Schubert section"
-    else:
-        raise ValueError(f"unknown provenance kind {spec.kind!r}")
-    q, tag = system.field.q, spec.serialize()
-    params = {"spec": tag, "q": q, "d": d}
-    return [_report(f"mindist[{tag},q={q}]", params, d, q**expo, relation, cite)]
-
-
 # -- the full verification suite --------------------------------------------------
 
 
@@ -300,6 +252,24 @@ def _close_families(ell: int, m: int, max_size: int = 3):
     return [fam for fam in families if is_close_family(fam)]
 
 
+class _HigherWeights(dict):
+    """d_r of a system's code by r, the code built and each d_r scanned on first read.
+
+    A value is None when r > k or ``codes`` refuses the scan as over budget.
+    """
+
+    def __init__(self, system, budget_scans: int):
+        super().__init__()
+        self.system, self.budget_scans, self.code = system, budget_scans, None
+
+    def __missing__(self, r: int) -> int | None:
+        if self.code is None:
+            self.code = build_code(self.system)
+        code = self.code
+        self[r] = _scanned(lambda: higher_weight(code, r, budget=self.budget_scans)) if r <= code.k else None
+        return self[r]
+
+
 def run_suite(
     fields,
     grassmann_pairs=(),
@@ -309,56 +279,106 @@ def run_suite(
 ) -> list[BoundReport]:
     """Every desk-scale claim for the requested grid of fields, sorted by claim id.
 
-    Per field, each spec is enumerated once, every spec on one G(l, m)
-    filters one stored stream of its batches, and each G(l, m) code and
-    its d_r are computed once.  A pair's batches and code are dropped
-    after its claims unless a Lagrangian claim reads that G(l, m) again.
+    Per field, the Grassmannians are visited one at a time, in the order
+    their claims first read them: the listed pairs, then for each n
+    G(n, 2n) and G(1, 2n) ... G(n-1, 2n).  One visit makes every claim on
+    its G(l, m) (``_grassmannian_claims``), so a refused point budget
+    names the first Grassmannian the claims read.
     """
+    pairs = [(ell, m) for ell, m in grassmann_pairs]
+    visits = dict.fromkeys(pairs + [(ell, 2 * n) for n in lagrangian_ns for ell in (n, *range(1, n))])
     reports: list[BoundReport] = []
-    # the Grassmannians G(l, 2n), l <= n, that the Lagrangian claims read again
-    lagrangian_reads = {(ell, 2 * n) for n in lagrangian_ns for ell in range(1, n + 1)}
     for field in fields:
-        store: dict = {}
-        systems: dict[str, object] = {}
-        codes: dict[tuple[int, int], object] = {}
-        drs: dict[tuple[int, int, int], int | None] = {}
-
-        def variety(spec_str: str):
-            if spec_str not in systems:
-                systems[spec_str] = enumerate_variety(
-                    parse_variety_spec(spec_str), field, budget_points, store
-                )
-            return systems[spec_str]
-
-        def grassmann_dr(ell: int, m: int, r: int) -> int | None:
-            """d_r of the G(l, m) code; None when r > k or the scan is over budget."""
-            if (ell, m, r) not in drs:
-                if (ell, m) not in codes:
-                    codes[ell, m] = build_code(variety(f"grassmann:{ell},{m}"))
-                code = codes[ell, m]
-                drs[ell, m, r] = (
-                    _scanned(lambda: higher_weight(code, r, budget=budget_scans)) if r <= code.k else None
-                )
-            return drs[ell, m, r]
-
-        for ell, m in grassmann_pairs:
-            reports.extend(_grassmann_claims(field, ell, m, variety, grassmann_dr))
-            if (ell, m) not in lagrangian_reads:
-                # free the batches and the r = 1 tables of G(l, m) now, so the
-                # peak holds one pair's, not the whole grid's
-                store.pop((ell, m), None)
-                codes.pop((ell, m), None)
-        for n in lagrangian_ns:
-            reports.extend(_lagrangian_claims(field, n, variety, grassmann_dr, budget_scans))
+        for ell, m in visits:
+            reports += _grassmannian_claims(
+                field, ell, m, pairs.count((ell, m)), lagrangian_ns, budget_points, budget_scans
+            )
     reports.sort(key=lambda rep: rep.claim)
     return reports
 
 
-def _grassmann_claims(field, ell, m, variety, grassmann_dr):
-    q = field.q
+def _grassmannian_claims(field, ell, m, pair_runs, lagrangian_ns, budget_points, budget_scans):
+    """Every claim on G(l, m) over field: the pair claims pair_runs times, the others once per n listed.
+
+    Each spec is enumerated once, filtering one ``store`` of G(l, m)
+    batches.  The ``schubert``, ``union`` and ``elambda`` sections are
+    dropped once their claims are made, everything else on return: the
+    store, the G(l, m) code with its d_r, ``lagrangian:n`` and the
+    isotropic section.
+    """
+    store: dict = {}
+
+    def section(spec_str: str):
+        return enumerate_variety(parse_variety_spec(spec_str), field, budget_points, store)
+
+    q, n = field.q, m // 2
+    iso_runs = lagrangian_ns.count(n) if m == 2 * n and ell <= n else 0
+    lag_runs = iso_runs if ell == n else 0
     out = []
-    gsys = variety(f"grassmann:{ell},{m}")
-    out.append(
+    if pair_runs or lag_runs:
+        gsys = section(f"grassmann:{ell},{m}")
+        drs = _HigherWeights(gsys, budget_scans)
+        lsys = section(f"lagrangian:{n}") if m == 2 * ell else None
+    if pair_runs:
+        claims = _grassmann_claims(gsys, drs)
+        for lam in enumerate_index_tuples(ell, m):
+            params = {"l": ell, "m": m, "q": q, "lam": format_tuple(lam)}
+            claims.append(
+                _report(
+                    f"schubert-count[l={ell},m={m},q={q},lam={format_tuple(lam)}]",
+                    params,
+                    len(section(f"schubert:{ell},{m}:{format_tuple(lam)}")),
+                    schubert_count(lam, m, q),
+                    "==",
+                    "Bruhat cell sum",
+                )
+            )
+            claims.append(
+                _bool_report(
+                    f"schubert-membership[l={ell},m={m},q={q},lam={format_tuple(lam)}]",
+                    params,
+                    True,
+                    "coordinate-vanishing and flag-dimension membership agree on every point",
+                )
+            )
+        for lam1, lam2 in combinations(enumerate_index_tuples(ell, m), 2):
+            lams = f"{format_tuple(lam1)};{format_tuple(lam2)}"
+            claims.append(
+                _report(
+                    f"schubert-union-count[l={ell},m={m},q={q},lams={lams}]",
+                    {"l": ell, "m": m, "q": q, "lams": lams},
+                    len(section(f"union:{ell},{m}:{lams}")),
+                    schubert_union_count([lam1, lam2], m, q),
+                    "==",
+                    "Bruhat cell sum over a union of down-sets",
+                )
+            )
+        for fam in _close_families(ell, m):
+            fam_str = ";".join(format_tuple(t) for t in fam)
+            esys = section(f"elambda:{ell},{m}:{fam_str}")
+            claim = f"elambda-ffn[l={ell},m={m},q={q},fam={fam_str}]"
+            params = {"l": ell, "m": m, "q": q, "family": fam_str}
+            cite = "coordinate forms span all forms vanishing on the section"
+            if len(esys):
+                claims.append(_bool_report(claim, params, verify_ffn(esys), cite))
+            else:
+                claims.append(_unevaluated(claim, params, "==", cite, "degenerate: empty section"))
+            claims += section_code_params_check(esys)
+            if lsys is not None:
+                claims.append(close_family_section_bound(lsys, fam))
+        out += claims * pair_runs
+    if iso_runs:
+        isys = section(f"isotropic:{ell},{n}")
+        out += _isotropic_claims(isys) * iso_runs
+    if lag_runs:
+        out += _lagrangian_claims(lsys, gsys, isys, drs, budget_scans) * lag_runs
+    return out
+
+
+def _grassmann_claims(gsys, drs):
+    """Point count, nondegeneracy and d_r of G(l, m); drs is the d_r memo of its code."""
+    ell, m, q = gsys.ell, gsys.m, gsys.field.q
+    out = [
         _report(
             f"grassmann-count[l={ell},m={m},q={q}]",
             {"l": ell, "m": m, "q": q},
@@ -366,81 +386,57 @@ def _grassmann_claims(field, ell, m, variety, grassmann_dr):
             gaussian_binomial(m, ell, q),
             "==",
             "Gaussian binomial point count",
-        )
-    )
-    out.append(
+        ),
         _bool_report(
             f"grassmann-nondegenerate[l={ell},m={m},q={q}]",
             {"l": ell, "m": m, "q": q},
             verify_ffn(gsys),
             "no linear form vanishes on all rational points",
-        )
-    )
+        ),
+    ]
     for r in range(1, dr_equality_max(ell, m) + 1):
         claim = f"grassmann-dr[l={ell},m={m},q={q},r={r}]"
         params = {"l": ell, "m": m, "q": q, "r": r}
         cite = "Grassmann higher-weight formula"
-        dr = grassmann_dr(ell, m, r)
-        if dr is None:
+        if drs[r] is None:
             note = "not evaluated: subcode scan over budget"
             out.append(_unevaluated(claim, params, "==", cite, note))
         else:
-            out.append(_report(claim, params, dr, grassmann_dr_formula(ell, m, q, r), "==", cite))
-    for lam in enumerate_index_tuples(ell, m):
-        ssys = variety(f"schubert:{ell},{m}:{format_tuple(lam)}")
-        out.append(
-            _report(
-                f"schubert-count[l={ell},m={m},q={q},lam={format_tuple(lam)}]",
-                {"l": ell, "m": m, "q": q, "lam": format_tuple(lam)},
-                len(ssys.points),
-                schubert_count(lam, m, q),
-                "==",
-                "Bruhat cell sum",
-            )
-        )
-        out.append(
-            _bool_report(
-                f"schubert-membership[l={ell},m={m},q={q},lam={format_tuple(lam)}]",
-                {"l": ell, "m": m, "q": q, "lam": format_tuple(lam)},
-                True,
-                "coordinate-vanishing and flag-dimension membership agree on every point",
-            )
-        )
-    for lam1, lam2 in combinations(enumerate_index_tuples(ell, m), 2):
-        lams = f"{format_tuple(lam1)};{format_tuple(lam2)}"
-        usys = variety(f"union:{ell},{m}:{lams}")
-        out.append(
-            _report(
-                f"schubert-union-count[l={ell},m={m},q={q},lams={lams}]",
-                {"l": ell, "m": m, "q": q, "lams": lams},
-                len(usys.points),
-                schubert_union_count([lam1, lam2], m, q),
-                "==",
-                "Bruhat cell sum over a union of down-sets",
-            )
-        )
-    for fam in _close_families(ell, m):
-        fam_str = ";".join(format_tuple(t) for t in fam)
-        esys = variety(f"elambda:{ell},{m}:{fam_str}")
-        claim = f"elambda-ffn[l={ell},m={m},q={q},fam={fam_str}]"
-        params = {"l": ell, "m": m, "q": q, "family": fam_str}
-        cite = "coordinate forms span all forms vanishing on the section"
-        if len(esys):
-            out.append(_bool_report(claim, params, verify_ffn(esys), cite))
-        else:
-            out.append(_unevaluated(claim, params, "==", cite, "degenerate: empty section"))
-        out.extend(section_code_params_check(ell, m, field, fam, variety))
-        if m == 2 * ell:
-            out.append(close_family_section_bound(ell, field, fam, variety))
+            out.append(_report(claim, params, drs[r], grassmann_dr_formula(ell, m, q, r), "==", cite))
     return out
 
 
-def _lagrangian_claims(field, n, variety, grassmann_dr, budget_scans):
-    q = field.q
-    out = []
-    lsys = variety(f"lagrangian:{n}")
-    gsys = variety(f"grassmann:{n},{2 * n}")
-    out.append(
+def _isotropic_claims(isys):
+    """Point count and contraction rank of isotropic:l,n."""
+    ell, n, q = isys.ell, isys.m // 2, isys.field.q
+    out = [
+        _report(
+            f"isotropic-count[l={ell},n={n},q={q}]",
+            {"l": ell, "n": n, "q": q},
+            len(isys.points),
+            isotropic_count(ell, n, q),
+            "==",
+            "isotropic point-count product",
+        )
+    ]
+    if ell >= 2:
+        out.append(
+            _report(
+                f"contraction-rank[l={ell},n={n},q={q}]",
+                {"l": ell, "n": n, "q": q},
+                isys.defining_forms.rank(),
+                comb(2 * n, ell - 2),
+                "==",
+                "section codimension equals the contraction form count",
+            )
+        )
+    return out
+
+
+def _lagrangian_claims(lsys, gsys, isys, drs, budget_scans):
+    """Claims on lagrangian:n against G(n, 2n) (gsys, the d_r memo drs of its code) and isotropic:n,n."""
+    n, q = lsys.ell, lsys.field.q
+    out = [
         _report(
             f"lagrangian-count[n={n},q={q}]",
             {"n": n, "q": q},
@@ -448,47 +444,21 @@ def _lagrangian_claims(field, n, variety, grassmann_dr, budget_scans):
             lagrangian_count(n, q),
             "==",
             "Lagrangian point-count product",
-        )
-    )
-    for ell in range(1, n + 1):
-        isys = variety(f"isotropic:{ell},{n}")
-        out.append(
-            _report(
-                f"isotropic-count[l={ell},n={n},q={q}]",
-                {"l": ell, "n": n, "q": q},
-                len(isys.points),
-                isotropic_count(ell, n, q),
-                "==",
-                "isotropic point-count product",
-            )
-        )
-        if ell >= 2:
-            out.append(
-                _report(
-                    f"contraction-rank[l={ell},n={n},q={q}]",
-                    {"l": ell, "n": n, "q": q},
-                    isys.defining_forms.rank(),
-                    comb(2 * n, ell - 2),
-                    "==",
-                    "section codimension equals the contraction form count",
-                )
-            )
-    out.append(
+        ),
         _bool_report(
             f"isotropic-lagrangian-match[n={n},q={q}]",
             {"n": n, "q": q},
             # both are filtered from the canonical stream, so equal sets are equal arrays
-            np.array_equal(variety(f"isotropic:{n},{n}").points, lsys.points),
+            np.array_equal(isys.points, lsys.points),
             "maximal isotropic subspaces are exactly the Lagrangian points",
-        )
-    )
-    cmat = variety(f"isotropic:{n},{n}").defining_forms
+        ),
+    ]
     pimat = lsys.defining_forms
     out.append(
         _bool_report(
             f"contraction-kernel-identity[n={n},q={q}]",
             {"n": n, "q": q},
-            cmat.right_kernel() == pimat.right_kernel(),
+            isys.defining_forms.right_kernel() == pimat.right_kernel(),
             "contraction kernel equals the coordinate-sum form kernel",
         )
     )
@@ -500,18 +470,18 @@ def _lagrangian_claims(field, n, variety, grassmann_dr, budget_scans):
             "coordinate-sum forms span all forms vanishing on the Lagrangian points",
         )
     )
-    hull_dim, _ = linear_hull(lsys)
+    # the hull of the points is the row space of the point matrix, so its dimension is k
+    code = build_code(lsys)
     out.append(
         _report(
             f"lagrangian-hull[n={n},q={q}]",
             {"n": n, "q": q},
-            hull_dim,
+            code.k,
             comb(2 * n, n) - comb(2 * n, n - 2),
             "==",
             "linear hull dimension = ambient minus contraction rank",
         )
     )
-    code = build_code(lsys)
     out.append(
         _report(
             f"lagrangian-k[n={n},q={q}]",
@@ -522,29 +492,25 @@ def _lagrangian_claims(field, n, variety, grassmann_dr, budget_scans):
             "code dimension = ambient dimension minus rank of the forms",
         )
     )
+    claim = f"mindist[lagrangian:{n},q={q}]"
+    cite = "Lagrangian code distance strictly below q^(n(n+1)/2)"
     d = _scanned(lambda: min_distance(code, budget=budget_scans))
     if d is None:
-        out.append(
-            _unevaluated(
-                f"mindist[lagrangian:{n},q={q}]",
-                {"n": n, "q": q},
-                "<",
-                "Lagrangian code distance strictly below q^(n(n+1)/2)",
-                "not evaluated: codeword scan over budget",
-            )
-        )
+        note = "not evaluated: codeword scan over budget"
+        out.append(_unevaluated(claim, {"n": n, "q": q}, "<", cite, note))
         return out
-    out.extend(mindist_bound_checks(lsys, d))
-    sizes = {"L": len(lsys.points), "G": len(gsys.points), "dim_v": hull_dim}
+    params = {"spec": f"lagrangian:{n}", "q": q, "d": d}
+    out.append(_report(claim, params, d, q ** (n * (n + 1) // 2), "<", cite))
+    counts = {"L": len(lsys.points), "G": len(gsys.points)}
     for r in (1, 2):
-        rprime = comb(2 * n, n) - hull_dim + r
+        rprime = comb(2 * n, n) - code.k + r
         # d_{r'} of the ambient code: closed form inside its equality
         # range, exhaustive scan otherwise
         d_rp_G = d_r_L = None
         if 1 <= rprime <= dr_equality_max(n, 2 * n):
             d_rp_G = grassmann_dr_formula(n, 2 * n, q, rprime)
         else:
-            d_rp_G = grassmann_dr(n, 2 * n, rprime)
+            d_rp_G = drs[rprime]
         if d_rp_G is not None and r <= code.k:
             d_r_L = _scanned(lambda: higher_weight(code, r, budget=budget_scans))
         if d_r_L is None:
@@ -558,11 +524,9 @@ def _lagrangian_claims(field, n, variety, grassmann_dr, budget_scans):
                 )
             )
         else:
-            out.extend(lagrangian_dr_sandwich(n, q, r, **sizes, d_r_L=d_r_L, d_rp_G=d_rp_G))
-    counts = {"L": len(lsys.points), "G": len(gsys.points), "dimV": hull_dim}
+            out.extend(lagrangian_dr_sandwich(n, q, r, **counts, dim_v=code.k, d_r_L=d_r_L, d_rp_G=d_rp_G))
     for r in (1, 2, 3):
-        dr = grassmann_dr(n, 2 * n, r)
-        if dr is None:
+        if drs[r] is None:
             out.append(
                 _unevaluated(
                     f"grassmann-dr-cap[n={n},q={q},r={r}]",
@@ -573,5 +537,5 @@ def _lagrangian_claims(field, n, variety, grassmann_dr, budget_scans):
                 )
             )
         else:
-            out.append(grassmann_dr_cap_check(n, q, r, dr, counts))
+            out.append(grassmann_dr_cap_check(n, q, r, drs[r], {**counts, "dimV": code.k}))
     return out

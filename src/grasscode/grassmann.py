@@ -15,8 +15,9 @@ allocated at the upstream point count (``stack_rows``), never into a
 list of tuples or of chunks.
 
 The batch stream itself is kept only when the caller passes a ``store``:
-``bounds.run_suite`` passes one per field, so every spec on the same
-G(l, m) replays one list of batches instead of generating them again.
+``bounds.run_suite`` passes one per visit to a Grassmannian, so every
+spec on that G(l, m) replays one list of batches instead of generating
+them again, and the list is dropped when the visit ends.
 ``count`` and ``build`` pass none and stream, holding one batch at a time.
 """
 
@@ -91,7 +92,7 @@ def iter_grassmann_cells(ell: int, m: int, field: GF, chunk: int = 2048, store: 
     """Yield (pivot tuple, bases (N,l,m), coords (N,K), memo) batches in canonical order.
 
     ``memo`` is a dict per batch in which a consumer keeps what it derives
-    from that batch alone.  With a ``store`` (one per field), the first
+    from that batch alone.  With a ``store``, the first
     call for (l, m) that runs to the end keeps its batches, memos
     included, under that key, and later calls replay them.
     """

@@ -15,9 +15,9 @@ point count where the kind has one.
 
 Point sets are the (N, K) arrays of ``grassmann.ProjSystem``, filtered
 one batch of the Grassmannian stream at a time with array masks.  Given
-a ``store`` (``bounds.run_suite`` passes one per field), the stream of
-each G(l, m) is generated once and replayed for every later spec on it,
-through the same generator and the same filter.
+a ``store`` (``bounds.run_suite`` passes one per visit to a
+Grassmannian), the stream of G(l, m) is generated once and replayed for
+every later spec on it, through the same generator and the same filter.
 
 Every kind is a linear section, so one rule decides membership: a point
 is kept iff every form of ``_defining_forms`` vanishes on its Plücker
@@ -29,9 +29,7 @@ dim(W ∩ span{e_1..e_t}) >= i at t = lam_i for some lam, read off the jump
 positions that ``flag_cells`` finds by elimination on the bases.  Those
 positions and the Gram mask depend on the batch alone, so each is
 computed at most once per batch, also across the specs replaying it.  A
-disagreement raises immediately.  A point's Bruhat cell is the lex-last
-index in the support of its Plücker vector (Fulton, *Young Tableaux*,
-ch. 9), which is how ``cell_histogram`` counts cells.
+disagreement raises immediately.
 """
 
 from __future__ import annotations
@@ -426,31 +424,3 @@ def closed_form_count(spec: VarietySpec, q: int) -> tuple[int | None, dict]:
         # no trusted closed form; the Schubert cell sum is reported for comparison only
         return None, {"cellsum": schubert_union_count(spec.tuples, spec.m, q)}
     raise ValueError(f"unknown kind {spec.kind!r}")
-
-
-def cell_histogram(system: ProjSystem) -> dict[IndexTuple, int]:
-    """Point count of each Bruhat cell met by the system.
-
-    A point's cell is the index of its last nonzero Plücker coordinate;
-    positions ascend with the lexicographic index order.
-    """
-    last = system.ambient_dim - 1 - (system.points[:, ::-1] != 0).argmax(axis=1)
-    positions, counts = np.unique(last, return_counts=True)
-    tuples = enumerate_index_tuples(system.ell, system.m)
-    return {tuples[p]: c for p, c in zip(positions.tolist(), counts.tolist())}
-
-
-def combinatorial_dimension(system: ProjSystem) -> int:
-    """Largest e with q^e points in one cell; every cell count must be a q power."""
-    q = system.field.q
-    best = 0
-    for gamma, count in cell_histogram(system).items():
-        e = 0
-        c = count
-        while c % q == 0:
-            c //= q
-            e += 1
-        if c != 1:
-            raise ValueError(f"cell {gamma} holds {count} points, not a power of q={q}")
-        best = max(best, e)
-    return best

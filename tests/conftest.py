@@ -5,7 +5,7 @@ from itertools import product
 import numpy as np
 
 from grasscode.field import GF
-from grasscode.indices import downset, enumerate_index_tuples, index_positions
+from grasscode.indices import downset, enumerate_index_tuples, format_tuple, index_positions
 from grasscode.linalg import Mat, maximal_minors, rref_batch, rref_chunks
 from grasscode.sections import KINDS, enumerate_variety, parse_variety_spec
 
@@ -35,9 +35,9 @@ def variety(spec_str, p, e=1):
     return enumerate_variety(parse_variety_spec(spec_str), field(p, e))
 
 
-def varieties(p, e=1):
-    """Spec string -> cached system over GF(p^e), the lookup bounds' section checks take."""
-    return lambda spec_str: variety(spec_str, p, e)
+def elambda(ell, m, fam, p, e=1):
+    """The cached coordinate-vanishing section of G(l, m) for the index tuples in fam."""
+    return variety(f"elambda:{ell},{m}:" + ";".join(format_tuple(t) for t in fam), p, e)
 
 
 def point_set(system):
@@ -298,3 +298,35 @@ def reference_points(spec_str, p, e=1):
                 and (not flag or any(schubert_member_flag(basis, lam) for lam in spec.tuples))
             )
     return points[np.array(keep, dtype=bool)]
+
+
+# -- per-cell counts of an enumeration ----------------------------------------
+
+
+def cell_histogram(system):
+    """Point count of each Bruhat cell met by the system.
+
+    A point's cell is the index of its last nonzero Plücker coordinate
+    (Fulton, *Young Tableaux*, ch. 9); positions ascend with the
+    lexicographic index order.
+    """
+    last = system.ambient_dim - 1 - (system.points[:, ::-1] != 0).argmax(axis=1)
+    positions, counts = np.unique(last, return_counts=True)
+    tuples = enumerate_index_tuples(system.ell, system.m)
+    return {tuples[p]: c for p, c in zip(positions.tolist(), counts.tolist())}
+
+
+def combinatorial_dimension(system):
+    """Largest e with q^e points in one cell; every cell count must be a q power."""
+    q = system.field.q
+    best = 0
+    for gamma, count in cell_histogram(system).items():
+        e = 0
+        c = count
+        while c % q == 0:
+            c //= q
+            e += 1
+        if c != 1:
+            raise ValueError(f"cell {gamma} holds {count} points, not a power of q={q}")
+        best = max(best, e)
+    return best

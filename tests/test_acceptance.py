@@ -9,12 +9,12 @@ from itertools import combinations
 
 from conftest import (
     dr_reference,
+    elambda,
     field,
     point_set,
     schubert_member_flag,
     schubert_member_plucker,
     subspace_of_point,
-    varieties,
     variety,
 )
 from grasscode.bounds import (
@@ -218,13 +218,13 @@ def test_criterion_10_sandwich_and_section_bounds():
                 if not rep.holds:
                     problems.append(("sandwich", q, r, rep.claim))
         for fam in _close_families(2, 4):
-            rep = close_family_section_bound(2, field(q), fam, varieties(q))
+            rep = close_family_section_bound(lsys, fam)
             if not rep.holds:
                 problems.append(("section-bound", q, fam))
     for fam in _close_families(2, 4):
         if len(fam) < 2:
             continue
-        for rep in section_code_params_check(2, 4, field(2), fam, varieties(2)):
+        for rep in section_code_params_check(elambda(2, 4, fam, 2)):
             if rep.claim.startswith("elambda-length") and not rep.holds:
                 problems.append(("length-formula", fam))
     check("criterion-10", "sandwich r=1,2; close-family section bound; section length formula", problems)

@@ -5,7 +5,7 @@ from itertools import combinations
 import numpy as np
 import pytest
 
-from conftest import field, varieties, variety
+from conftest import elambda, field, variety
 from grasscode import bounds, grassmann
 from grasscode.bounds import (
     BoundReport,
@@ -15,11 +15,10 @@ from grasscode.bounds import (
     grassmann_dr_cap_check,
     grassmann_dr_formula,
     lagrangian_dr_sandwich,
-    mindist_bound_checks,
     run_suite,
     section_code_params_check,
 )
-from grasscode.codes import LinearCode, build_code, higher_weight, min_distance
+from grasscode.codes import LinearCode, build_code, higher_weight
 from grasscode.grassmann import ProjSystem, iter_grassmann_cells
 from grasscode.indices import enumerate_index_tuples, is_close_family
 from grasscode.sections import linear_hull
@@ -55,7 +54,8 @@ def test_sandwich_all_inputs_exhaustive(q):
     lcode = build_code(lsys)
     gcode = build_code(gsys)
     dim_v, _ = linear_hull(lsys)
-    assert dim_v == 5
+    # run_suite reads the hull dimension as k: both are the rank of the point matrix
+    assert dim_v == lcode.k == 5
     for r in (1, 2):
         rprime = 6 - dim_v + r
         reports = lagrangian_dr_sandwich(
@@ -104,21 +104,22 @@ def test_close_family_section_bound_sweep(q):
     families = _close_families(2, 4)
     assert len(families) == 26  # 6 singletons, 12 intersecting pairs, 4 stars + 4 triangles
     for fam in families:
-        report = close_family_section_bound(2, field(q), fam, varieties(q))
+        report = close_family_section_bound(variety("lagrangian:2", q), fam)
         assert report.holds, (fam, report.lhs, report.rhs)
 
 
 def test_close_family_section_bound_examples():
-    rep = close_family_section_bound(2, field(2), [(1, 2), (1, 3)], varieties(2))
+    lsys = variety("lagrangian:2", 2)
+    rep = close_family_section_bound(lsys, [(1, 2), (1, 3)])
     assert rep.rhs == 35 - 16 - 8 == 11 and rep.holds
-    rep1 = close_family_section_bound(2, field(2), [(1, 2)], varieties(2))
+    rep1 = close_family_section_bound(lsys, [(1, 2)])
     assert rep1.rhs == 35 - 16 == 19
     with pytest.raises(ValueError):
-        close_family_section_bound(2, field(2), [(1, 2), (3, 4)], varieties(2))
+        close_family_section_bound(lsys, [(1, 2), (3, 4)])
 
 
 def test_section_code_params_close_example():
-    reports = section_code_params_check(2, 4, field(2), [(1, 2), (1, 3)], varieties(2))
+    reports = section_code_params_check(elambda(2, 4, [(1, 2), (1, 3)], 2))
     by_claim = {r.claim.split("[")[0]: r for r in reports}
     length = by_claim["elambda-length"]
     assert (length.lhs, length.rhs) == (11, 11) and length.holds
@@ -128,7 +129,7 @@ def test_section_code_params_close_example():
 
 def test_section_code_params_all_close_families_q2():
     for fam in _close_families(2, 4):
-        for report in section_code_params_check(2, 4, field(2), fam, varieties(2)):
+        for report in section_code_params_check(elambda(2, 4, fam, 2)):
             assert report.holds, (fam, report.claim)
 
 
@@ -136,7 +137,7 @@ def test_section_code_dimension_for_non_close_families():
     # the k check holds for every family of size <= 3, close or not
     for size in (1, 2, 3):
         for fam in combinations(enumerate_index_tuples(2, 4), size):
-            reports = section_code_params_check(2, 4, field(2), fam, varieties(2))
+            reports = section_code_params_check(elambda(2, 4, fam, 2))
             dim = [r for r in reports if r.claim.startswith("elambda-dimension")][0]
             assert dim.holds, fam
             if size >= 2 and not is_close_family(fam):
@@ -146,35 +147,17 @@ def test_section_code_dimension_for_non_close_families():
 
 def test_section_code_params_degenerate():
     every = enumerate_index_tuples(2, 4)
-    reports = section_code_params_check(2, 4, field(2), every, varieties(2))
+    reports = section_code_params_check(elambda(2, 4, every, 2))
     assert len(reports) == 1
     assert reports[0].holds is None and "degenerate" in reports[0].note
 
 
-def _mindist_reports(spec):
-    system = variety(spec, 2)
-    return mindist_bound_checks(system, min_distance(build_code(system)))
-
-
 def test_mindist_bound_checks():
-    (rep,) = _mindist_reports("lagrangian:2")
+    # the Lagrangian code's distance against its strict bound, as run_suite reports it
+    (rep,) = [rep for rep in run_suite([field(2)], lagrangian_ns=[2]) if rep.claim.startswith("mindist")]
+    assert rep.claim == "mindist[lagrangian:2,q=2]"
+    assert rep.params == {"spec": "lagrangian:2", "q": 2, "d": 6}
     assert (rep.lhs, rep.relation, rep.rhs) == (6, "<", 8) and rep.holds
-
-    (rep,) = _mindist_reports("grassmann:2,4")
-    assert (rep.lhs, rep.relation, rep.rhs) == (16, "==", 16) and rep.holds
-
-    (rep,) = _mindist_reports("schubert:2,4:3,4")
-    assert (rep.lhs, rep.relation, rep.rhs) == (16, "<=", 16) and rep.holds
-
-    (rep,) = _mindist_reports("lag-schubert:2:2,4")
-    assert rep.holds and rep.rhs == 2**2
-
-    assert _mindist_reports("isotropic:2,3") == []
-
-    gsys = variety("grassmann:2,4", 2)
-    unknown = ProjSystem(gsys.field, gsys.ambient_dim, gsys.points, gsys.defining_forms)
-    with pytest.raises(ValueError):
-        mindist_bound_checks(unknown, 16)
 
 
 def test_run_suite_small_grid(monkeypatch):
@@ -234,32 +217,44 @@ def test_run_suite_small_grid(monkeypatch):
 
 def test_stored_enumerations_match_streaming(monkeypatch):
     # the grid of the benchmark's suite job; scans are refused, enumerations are not
-    seen, held = [], []
-    enumerate_variety, lagrangian_claims = bounds.enumerate_variety, bounds._lagrangian_claims
+    compared, visits, alive, stores = [], [], [], set()
+    enumerate_variety = bounds.enumerate_variety
+    before = {id(o) for o in gc.get_objects() if isinstance(o, (ProjSystem, LinearCode))}
+
+    def leftovers(f, earlier):
+        """Systems, codes and store entries of the run that belong to earlier Grassmannians over f."""
+        gc.collect()
+        found = []
+        for o in gc.get_objects():
+            if isinstance(o, ProjSystem) and id(o) not in before and o.field is f and (o.ell, o.m) in earlier:
+                found.append(o.source.serialize())
+            elif isinstance(o, LinearCode) and id(o) not in before and o.field is f:
+                if (o.provenance.ell, o.provenance.m) in earlier:
+                    found.append(f"code of {o.source_string()}")
+            elif isinstance(o, dict) and id(o) in stores:
+                found += [f"store {key}" for key in earlier if isinstance(o.get(key), list)]
+        return found
 
     def recorded(spec, f, budget, store):
         assert store is not None
+        stores.add(id(store))
+        if (f.q, spec.ell, spec.m) not in visits:
+            # the first read of a Grassmannian: nothing of the field's earlier ones may be left
+            earlier = {(ell, m) for q, ell, m in visits if q == f.q}
+            alive.append(((f.q, spec.ell, spec.m), leftovers(f, earlier)))
+            visits.append((f.q, spec.ell, spec.m))
         system = enumerate_variety(spec, f, budget, store)
-        seen.append((spec, f, system, store))
+        fresh = enumerate_variety(spec, f)
+        assert np.array_equal(system.points, fresh.points), spec
+        assert np.array_equal(system.defining_forms.a, fresh.defining_forms.a), spec
+        compared.append(spec.serialize())
         return system
 
-    def inspected(f, n, *args):
-        # what the Grassmann claims left alive for the Lagrangian claims
-        gc.collect()
-        codes = {o.source_string() for o in gc.get_objects() if isinstance(o, LinearCode) and o.field is f}
-        held.append((f.q, set(seen[-1][3]), codes))
-        return lagrangian_claims(f, n, *args)
-
     monkeypatch.setattr(bounds, "enumerate_variety", recorded)
-    monkeypatch.setattr(bounds, "_lagrangian_claims", inspected)
     run_suite([field(2), field(3)], grassmann_pairs=[(2, 4), (2, 5)], lagrangian_ns=[2], budget_scans=1)
-    assert len(seen) == 354
-    for spec, f, system, _ in seen:
-        fresh = enumerate_variety(spec, f)
-        assert np.array_equal(system.points, fresh.points)
-        assert np.array_equal(system.defining_forms.a, fresh.defining_forms.a)
-    # G(2,5) is dropped after its own claims; G(2,4) is kept for lagrangian:2
-    assert held == [(q, {(2, 4)}, {"grassmann:2,4"}) for q in (2, 3)]
+    assert len(compared) == 354
+    assert visits == [(q, ell, m) for q in (2, 3) for ell, m in [(2, 4), (2, 5), (1, 4)]]
+    assert alive == [(visit, []) for visit in visits]
 
 
 def test_run_suite_empty_grid():

@@ -347,20 +347,31 @@ def test_verify_empty_close_family_section(capsys):
         assert all(r["holds"] is None and r["lhs"] is None for r in empty)
 
 
-# SHA-256 of the whole stdout.  Budget 10 leaves the Lagrangian codeword scan
-# unevaluated, 40 the sandwich at r = 2 and the caps, 200 the Grassmann d_r at
-# r = 2, 3; G(2,2) has k = 1, so its r = 2 claim is unevaluated at every budget.
+# SHA-256 of the whole stdout.  On the first grid, budget 10 leaves the
+# Lagrangian codeword scan unevaluated, 40 the sandwich at r = 2 and the
+# caps, 200 the Grassmann d_r at r = 2, 3; G(2,2) has k = 1, so its r = 2
+# claim is unevaluated at every budget.  The last grid lists a pair and an n
+# twice; G(1,4) is a listed pair and read by isotropic:1,2, and no listed pair
+# is a Grassmannian of n = 3.
+SMALL_GRID = ("--q", "2", "--grassmann", "2,2;2,4", "--lagrangian-n", "2")
+
+
 @pytest.mark.parametrize(
-    "budget,digest",
+    "argv,digest",
     [
-        ("10", "e3b605e949aefa5afa9ce4556c40715ec10c08f1f5b424c5c2093d0c9662af66"),
-        ("40", "c704f4dd6a956e305153aa2bd1040ebbff4ff85c5059940776d5320fb776cea5"),
-        ("200", "d72cbe5884f644a7c58a8df3b6f859f6d9c74ce2f04a89000ee446ea182b96e5"),
+        ((*SMALL_GRID, "--budget-scans", "10"), "e3b605e949aefa5afa9ce4556c40715ec10c08f1f5b424c5c2093d0c9662af66"),
+        ((*SMALL_GRID, "--budget-scans", "40"), "c704f4dd6a956e305153aa2bd1040ebbff4ff85c5059940776d5320fb776cea5"),
+        ((*SMALL_GRID, "--budget-scans", "200"), "d72cbe5884f644a7c58a8df3b6f859f6d9c74ce2f04a89000ee446ea182b96e5"),
+        (
+            ("--q", "2,3", "--grassmann", "2,4;1,4;2,4", "--lagrangian-n", "3,2,2", "--budget-scans", "100000"),
+            "6f07d6825104c4ccaed7a658061b02ed93e65aef5729591c000b8ea9cb064003",
+        ),
     ],
+    # a case is named by its scan budget, the last argument
+    ids=lambda value: value[-1] if isinstance(value, tuple) else None,
 )
-def test_verify_unevaluated_reports_pinned(capsys, budget, digest):
-    argv = ("verify", "--q", "2", "--grassmann", "2,2;2,4", "--lagrangian-n", "2", "--budget-scans", budget)
-    code, out, _ = run_cli(capsys, *argv)
+def test_verify_unevaluated_reports_pinned(capsys, argv, digest):
+    code, out, _ = run_cli(capsys, "verify", *argv)
     assert code == EXIT_OK and "not evaluated" in out
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

@@ -9,6 +9,8 @@ import grasscode.sections as sections
 from conftest import (
     SPEC_CASES,
     bruhat_cell_of,
+    cell_histogram,
+    combinatorial_dimension,
     field,
     is_isotropic,
     point_set,
@@ -26,9 +28,7 @@ from grasscode.linalg import Mat, maximal_minors, rref_batch, rref_free_position
 from grasscode.sections import (
     KINDS,
     _isotropic_mask,
-    cell_histogram,
     closed_form_count,
-    combinatorial_dimension,
     contraction_matrix,
     enumerate_variety,
     flag_cells,
