@@ -32,6 +32,7 @@ from .indices import (
     is_close_family,
 )
 from .sections import (
+    budget_grassmannian,
     elambda_length_formula,
     enumerate_variety,
     isotropic_count,
@@ -282,11 +283,15 @@ def run_suite(
     Per field, the Grassmannians are visited one at a time, in the order
     their claims first read them: the listed pairs, then for each n
     G(n, 2n) and G(1, 2n) ... G(n-1, 2n).  One visit makes every claim on
-    its G(l, m) (``_grassmannian_claims``), so a refused point budget
-    names the first Grassmannian the claims read.
+    its G(l, m) (``_grassmannian_claims``).  Every visit's point budget
+    is checked before the first visit, in visit order, so a refused grid
+    names the first Grassmannian the claims read and runs no claim.
     """
     pairs = [(ell, m) for ell, m in grassmann_pairs]
     visits = dict.fromkeys(pairs + [(ell, 2 * n) for n in lagrangian_ns for ell in (n, *range(1, n))])
+    for field in fields:
+        for ell, m in visits:
+            budget_grassmannian(ell, m, field, budget_points)
     reports: list[BoundReport] = []
     for field in fields:
         for ell, m in visits:

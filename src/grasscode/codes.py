@@ -3,45 +3,55 @@
 The code of a system is the row space of the matrix whose columns are the
 points; the generator is canonicalized by rref.  Every scan walks
 r-dimensional subcodes as canonical rref bases in the order of
-``linalg.rref_chunks``, in fixed contiguous chunks, so results are
-identical for any worker count.
+``linalg.rref_chunks``, in fixed blocks, so results are identical for
+any worker count.
 
 For r = 1 there is one normalized message per projective class of
 codewords, and one pass over them (memoized on the ``LinearCode``)
-gives the tally of class weights, hence ``d``, ``d_1`` and the weight
-enumerator, and while it fits in ``TABLE_BYTES`` a table of packed
-support bitmasks, one row per class in canonical order.  The pass
-multiplies no field elements per class: the span table T of the last b
-generator rows (q^b <= ``CHUNK``) is built once by doubling, a chunk of
-classes sharing its pivot and higher digits is s + T[:size] for the word
-s of its first message, and s + T[i] is zero exactly where T[i] = -s,
-so one comparison per entry gives the chunk's supports
-(Bouyukliev-Bakoev 2008 build codewords by such additions).  The first
-class of least weight is rebuilt as message times G with
-``field.matmul`` and checked against the pass.  The support of
-a subcode is the union of the supports of its basis rows (Wei 1991), and
-each row of a canonical rref basis is itself a normalized message, so
-``d_r`` for 2 <= r < k is the least popcount of the OR of r table rows:
-no field products.  Over ``TABLE_BYTES`` (a cap on memory, not a speed
-trade: the OR is the faster path wherever it runs), r >= 2 skips the
-table and multiplies the subcodes' bases by the generator instead.  The
-one subcode of dimension k is the code itself, so ``d_k`` is |supp C|,
-the number of nonzero generator columns, with no scan.
-The subcode attaining ``d_r`` (r < k) is rebuilt from its codewords with
-``field.matmul`` and checked against
-sum_{c in D} wt(c) = (q^r - q^(r-1)) |supp D|, and ``weight_profile``
-checks that the MacWilliams transform of the enumerator is a
-distribution.  A hyperplane c^perp holds exactly the zero positions of
-the codeword c G, so n minus the most points on a hyperplane is the least
-weight: both ``min_distance`` methods read the same pass and differ only
-in the scan size they budget.
+keeps the weight of every class in canonical order, and their tally,
+hence ``d``, ``d_1`` and the weight enumerator.  The pass multiplies no
+field elements per class: the span table T of the last b generator rows
+(q^b <= ``CHUNK``) is built once by doubling, a chunk of classes sharing
+its pivot and higher digits is s + T[:size] for the word s of its first
+message, and s + T[i] is zero exactly where T[i] = -s, so one comparison
+per entry and a popcount give the chunk's weights (Bouyukliev-Bakoev
+2008 build codewords by such additions).  The first class of least
+weight is rebuilt as message times G with ``field.matmul`` and checked
+against the pass.
+
+Each position in the support of an r-dim subcode D is nonzero on exactly
+q^(r-1) of its (q^r - 1)/(q - 1) classes, so |supp D| = q^-(r-1) times
+the sum of their weights (Wei 1991), and ``d_r`` for 2 <= r < k needs
+only the class weights.  The classes of D with canonical basis
+u_1..u_r are u_i + s, s in the span of the rows below u_i; each is
+already normalized, and its index is the start of the pivot of u_i plus
+the base-q value of its digits after that pivot.  Row i's digits are a
+contiguous slice of the odometer value, so a per-pivot-set table gives
+the base-q value of every multiple of every row, and the sum of two
+vectors is a sum of base-q values digit by digit (``_vector_add``: XOR
+for p = 2).  No codeword is formed and no field product is taken; every
+sum of class weights must be divisible by q^(r-1).  The first subcode
+attaining ``d_r`` is rebuilt from its codewords with ``field.matmul``:
+the union of their supports must be ``d_r``, and
+sum_{c in D} wt(c) = (q^r - q^(r-1)) |supp D| must hold.  The one
+subcode of dimension k is the code itself, so ``d_k`` is |supp C|, the
+number of nonzero generator columns, with no scan.
+
+``weight_profile`` checks that the MacWilliams transform of the
+enumerator is a distribution.  A hyperplane c^perp holds exactly the
+zero positions of the codeword c G, so n minus the most points on a
+hyperplane is the least weight: both ``min_distance`` methods read the
+same pass and differ only in the scan size they budget.
 """
 
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import combinations
+from math import prod
 
 import numpy as np
 
@@ -53,8 +63,10 @@ from .linalg import Mat, rref_batch, rref_chunks
 
 DEFAULT_SCAN_BUDGET = 1 << 26
 CHUNK = 1024
-# memory cap on the support table; over it, r >= 2 falls back to products with G
-TABLE_BYTES = 1 << 27
+# subcodes per block of an r >= 2 scan
+SUBCODES = 1 << 14
+# entries of the digit-group addition table of an odd characteristic
+ADD_TABLE = 1 << 20
 
 
 @dataclass
@@ -100,44 +112,27 @@ def _pool_map(run, chunks, workers: int) -> list:
         return list(pool.map(run, chunks))
 
 
-def _scan(code: LinearCode, r: int, work, workers: int) -> list:
-    """work(bases) per chunk of r-dim subcodes, bases the (N, r, k) canonical rref stack."""
-    q, k = code.field.q, code.k
-    chunks = rref_chunks(q, r, k, CHUNK)
-    return _pool_map(lambda chunk: work(rref_batch(q, k, *chunk)), chunks, workers)
+def _class_starts(q: int, k: int) -> list[int]:
+    """starts[p]: the canonical r = 1 index of the first class with its leading 1 at p; starts[k] counts all.
 
-
-def _words(code: LinearCode, bases: np.ndarray) -> np.ndarray:
-    """(N, r, n) codewords of the rows of an (N, r, k) stack of messages."""
-    return code.field.matmul(bases, code.generator.a)
-
-
-def _class_index(q: int, k: int, rows: np.ndarray) -> np.ndarray:
-    """Canonical r = 1 index of each normalized message in rows (..., k).
-
-    A message with its leading 1 at p is the (V - q^(k-1-p))-th of its
-    pivot, V its base-q value, after the q^(k-1) + ... + q^(k-p) with an
-    earlier pivot.
+    A normalized message with its leading 1 at p is the t-th class of its
+    pivot, t the base-q value of its digits after p, and the
+    q^(k-1) + ... + q^(k-p) classes with an earlier pivot come before it.
     """
-    powers = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    p = np.arange(k)
-    base = (q**k - q ** (k - p)) // (q - 1) - powers
-    return rows @ powers + base[(rows != 0).argmax(axis=-1)]
+    return [(q**k - q ** (k - p)) // (q - 1) for p in range(k + 1)]
 
 
 @dataclass
 class _Classes:
-    """The r = 1 pass: tally[w] classes of weight w; table[i] the support bits of class i, or None."""
+    """The r = 1 pass: weights[i] the weight of class i in canonical order, tally[w] the classes of weight w.
+
+    ``add`` is the vector sum on base-q values that the r >= 2 scans use,
+    built on their first call (``_vector_add``).
+    """
 
     tally: np.ndarray
-    table: np.ndarray | None
-
-
-def _table_shape(code: LinearCode) -> tuple[int, int] | None:
-    """(classes, uint64 words per class) of the support table, or None over TABLE_BYTES."""
-    q, k = code.field.q, code.k
-    classes, width = (q**k - 1) // (q - 1), -(-code.n // 64)
-    return (classes, width) if classes * width * 8 <= TABLE_BYTES else None
+    weights: np.ndarray
+    add: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
 
 
 def _span_table(code: LinearCode, b: int) -> np.ndarray:
@@ -171,50 +166,162 @@ def _classes(code: LinearCode, workers: int) -> _Classes:
     while b < k - 1 and q ** (b + 1) <= CHUNK:
         b += 1
     span = _span_table(code, b)
-    shape = _table_shape(code)
-    table = None if shape is None else np.zeros(shape, dtype=np.uint64)
+    starts = _class_starts(q, k)
+    weights = np.empty(starts[k], dtype=np.int32)
 
     def run(chunk):
         pivots, start, stop = chunk
         message = rref_batch(q, k, pivots, start, start + 1)[:, 0]
         minus_s = F.sub_arr(0, F.matmul(message, code.generator.a)[0]).astype(span.dtype)
         packed = np.packbits(span[: stop - start] != minus_s, axis=1, bitorder="little")
-        if table is None:
-            support = np.zeros((len(packed), -(-n // 64)), dtype=np.uint64)
-        else:
-            first = (q**k - q ** (k - pivots[0])) // (q - 1) + start
-            support = table[first : first + len(packed)]
+        support = np.zeros((len(packed), -(-n // 64)), dtype=np.uint64)
         support.view(np.uint8)[:, : packed.shape[1]] = packed
-        weights = np.bitwise_count(support).sum(axis=1, dtype=np.int64)
-        i = int(weights.argmin())
-        return np.bincount(weights, minlength=n + 1), int(weights[i]), (pivots, start + i)
+        first = starts[pivots[0]] + start
+        weights[first : first + len(packed)] = np.bitwise_count(support).sum(axis=1)
 
-    parts = _pool_map(run, list(rref_chunks(q, 1, k, q**b)), workers)
-    # the first chunk's least wins ties, so the class checked is the canonical first
-    _, least, (pivots, index) = min(parts, key=lambda part: part[1])
-    message = rref_batch(q, k, pivots, index, index + 1)[:, 0]
+    _pool_map(run, list(rref_chunks(q, 1, k, q**b)), workers)
+    # argmin takes the first of the least, so the class checked is the canonical first
+    least = int(weights.argmin())
+    p = int(np.searchsorted(starts, least, side="right")) - 1
+    message = rref_batch(q, k, (p,), least - starts[p], least - starts[p] + 1)[:, 0]
     rebuilt = int(np.count_nonzero(F.matmul(message, code.generator.a)))
-    if rebuilt != least:
-        raise RuntimeError(f"least class weight {least} in the pass, {rebuilt} as message times G")
-    code._class_memo = _Classes(sum(part[0] for part in parts), table)
+    if rebuilt != weights[least]:
+        raise RuntimeError(f"least class weight {weights[least]} in the pass, {rebuilt} as message times G")
+    code._class_memo = _Classes(np.bincount(weights, minlength=n + 1), weights)
     return code._class_memo
 
 
-def _least_support(supports: np.ndarray, bases: np.ndarray) -> tuple[int, np.ndarray]:
-    i = int(supports.argmin())
-    # a copy, so the chunk's whole basis stack is freed once the chunk is done
-    return int(supports[i]), bases[i].copy()
+def _vector_add(field: GF, k: int):
+    """add(a, b): the base-q value of the sum of the vectors of F_q^k whose base-q values are a and b.
+
+    The base-p digits of a base-q value are the coefficients of its
+    entries, so the sum adds base-p digits mod p with no carry: XOR for
+    p = 2.  For odd p, the k e digits are added h at a time through a
+    table of the p^h x p^h digit-group sums (at most ``ADD_TABLE``
+    entries), built one digit at a time; a group of one digit is added
+    mod p directly.
+    """
+    p, digits = field.p, k * field.e
+    if p == 2:
+        return np.bitwise_xor
+    h = 1
+    while h < digits and p ** (2 * h + 2) <= ADD_TABLE:
+        h += 1
+    group, groups = p**h, -(-digits // h)
+    if h == 1:
+
+        def add_group(x, y):
+            return (x + y) % p
+
+    else:
+        # the sums of h-digit groups from those of (h - 1)-digit groups and one top digit
+        digit = (np.arange(p, dtype=np.int32)[:, None] + np.arange(p, dtype=np.int32)) % p
+        table = np.zeros(1, dtype=np.int32)
+        for size in (p**i for i in range(h)):
+            table = digit[:, None, :, None] * np.int32(size) + table.reshape(size, size)[None, :, None, :]
+        table = table.ravel()
+
+        def add_group(x, y):
+            return table[x * group + y]
+
+    if groups == 1:
+        return add_group
+
+    def add(a, b):
+        out = 0
+        for w in (group**g for g in range(groups)):
+            out = out + add_group(a // w % group, b // w % group) * np.int64(w)
+        return out
+
+    return add
 
 
-def _check_support_identity(code: LinearCode, basis: np.ndarray, support: int) -> None:
-    """Rebuild the subcode D spanned by basis from its codewords and check
-    sum_{c in D} wt(c) = (q^r - q^(r-1)) |supp D|, summed over one word per class."""
-    q, r = code.field.q, len(basis)
-    coeffs = np.concatenate([rref_batch(q, r, *c) for c in rref_chunks(q, 1, r, q**r)])
-    total = int((_words(code, code.field.matmul(coeffs, basis)) != 0).sum())
-    if total != q ** (r - 1) * support:
+def _row_tables(q: int, k: int, pivots: tuple[int, ...], products: np.ndarray) -> list:
+    """(tail, multiples) of each row of the canonical bases with these pivots, over its free digits t.
+
+    tail[t] is the base-q value of the row with its leading 1 dropped, and
+    multiples[c - 1, t] the base-q value of c times the row.  A row's free
+    columns hold the digits of t, its first free column the most
+    significant; products is the q x q multiplication table.
+    """
+    out = []
+    for p in pivots:
+        values = np.arange(q, dtype=np.int64)[:, None] * q ** (k - 1 - p)
+        for j in (j for j in range(p + 1, k) if j not in pivots):
+            values = (values[:, :, None] + products[:, None, :] * q ** (k - 1 - j)).reshape(q, -1)
+        out.append((values[1] - q ** (k - 1 - p), values[1:]))
+    return out
+
+
+def _lower_rows(rows: list, led: list, add, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+    """(sums, span) over the odometer values start..stop-1 of the given rows, the last fastest.
+
+    sums[j] adds the weights of the classes those rows lead; span (q^len(rows), N)
+    holds the base-q values of their span, zero first.
+    """
+    idx = np.arange(start, stop, dtype=np.int64)
+    sums, span = 0, np.zeros((1, stop - start), dtype=np.int64)
+    for (tail, multiples), weights in zip(rows[::-1], led[::-1]):
+        t = idx % len(tail)
+        idx //= len(tail)
+        sums = sums + weights[add(tail[t], span)].sum(axis=0)
+        span = np.concatenate([span, add(multiples[:, None, t], span[None]).reshape(-1, len(t))])
+    return sums, span
+
+
+def _least_subcodes(code: LinearCode, r: int, classes: _Classes, workers: int) -> list:
+    """(least support, pivots, odometer index of the first subcode attaining it) per block of r-dim subcodes.
+
+    The normalized messages of the subcode with canonical rref basis
+    u_1..u_r are u_i + s, s in the span of the rows below u_i, and the
+    digits of u_i, which are 0 at every other pivot, are one contiguous
+    slice of the odometer value.  So every class index is a table lookup,
+    a vector sum and the start of the pivot of u_i, and
+    |supp D| = q^-(r-1) sum_{P in D} wt(P) (Wei 1991) needs no codeword.
+    A block is a range of top-row digits times a range of the digits of
+    the rows below, whose sums and span it shares.
+    """
+    F, k = code.field, code.k
+    q, scale = F.q, F.q ** (r - 1)
+    els = np.arange(q, dtype=np.int64)
+    products = F.mul_arr(els[:, None], els[None, :]).astype(np.int64)
+    starts, add = _class_starts(q, k), classes.add
+    parts = []
+    for pivots in combinations(range(k), r):
+        rows = _row_tables(q, k, pivots, products)
+        # the weights of the classes led by each row, indexed by tail value
+        led = [classes.weights[starts[p] :] for p in pivots]
+        tail, top = rows[0][0], len(rows[0][0])
+        low = prod(len(t) for t, _ in rows[1:])
+        width = min(low, SUBCODES)
+        height = max(1, SUBCODES // width)
+        for l0 in range(0, low, width):
+            low_sums, span = _lower_rows(rows[1:], led[1:], add, l0, min(l0 + width, low))
+
+            def run(t0):
+                sums = led[0][add(tail[t0 : t0 + height, None, None], span)].sum(axis=1) + low_sums
+                if (sums % scale).any():
+                    raise RuntimeError(f"class weights of a subcode sum to a value not divisible by {scale}")
+                i, j = np.unravel_index(sums.argmin(), sums.shape)
+                return int(sums[i, j]) // scale, pivots, (t0 + int(i)) * low + l0 + int(j)
+
+            parts += _pool_map(run, range(0, top, height), workers)
+    return parts
+
+
+def _check_attaining_subcode(code: LinearCode, basis: np.ndarray, support: int) -> None:
+    """Rebuild the subcode D spanned by basis as one word per class, by message times G, and check
+    that |supp D| = support, and sum_{c in D} wt(c) = (q^r - q^(r-1)) support."""
+    F, r = code.field, len(basis)
+    coeffs = np.concatenate([rref_batch(F.q, r, *c) for c in rref_chunks(F.q, 1, r, F.q**r)])
+    words = F.matmul(F.matmul(coeffs, basis), code.generator.a)
+    union = int(np.count_nonzero(words.any(axis=(0, 1))))
+    if union != support:
+        raise RuntimeError(f"least subcode support {support} in the scan, {union} as message times G")
+    total = int(np.count_nonzero(words))
+    if total != F.q ** (r - 1) * support:
         raise RuntimeError(
-            f"subcode weights sum to {total}, support {support} needs {q ** (r - 1) * support}"
+            f"subcode weights sum to {total}, support {support} needs {F.q ** (r - 1) * support}"
         )
 
 
@@ -272,21 +379,12 @@ def higher_weight(
     if r == k:
         return int(np.count_nonzero(code.generator.a.any(axis=0)))
     # for r < k the r = 1 pass costs [k, 1]_q <= [k, r]_q, inside the budget
-    table = _classes(code, workers).table if _table_shape(code) else None
-    if table is None:
-
-        def work(bases):
-            return _least_support((_words(code, bases) != 0).any(axis=1).sum(axis=1), bases)
-
-    else:
-
-        def work(bases):
-            union = np.bitwise_or.reduce(table[_class_index(q, k, bases)], axis=1)
-            return _least_support(np.bitwise_count(union).sum(axis=1, dtype=np.int64), bases)
-
-    # the first chunk's least wins ties, so the subcode checked is the canonical first
-    d_r, basis = min(_scan(code, r, work, workers), key=lambda part: part[0])
-    _check_support_identity(code, basis, d_r)
+    classes = _classes(code, workers)
+    if classes.add is None:
+        classes.add = _vector_add(code.field, k)
+    # ties go to the least (pivots, index), so the subcode checked is the canonical first
+    d_r, pivots, index = min(_least_subcodes(code, r, classes, workers))
+    _check_attaining_subcode(code, rref_batch(q, k, pivots, index, index + 1)[0], d_r)
     return d_r
 
 

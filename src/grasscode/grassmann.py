@@ -23,6 +23,7 @@ them again, and the list is dropped when the visit ends.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,7 @@ class ProjSystem:
     ell: int | None = None
     m: int | None = None
     source: object = None
+    _point_matrix: Mat | None = dataclasses.field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         points = np.asarray(self.points, dtype=np.int64)
@@ -63,8 +65,14 @@ class ProjSystem:
         return len(self.points)
 
     def point_matrix(self) -> Mat:
-        """ambient_dim x n matrix whose columns are the points, in order."""
-        return Mat(self.field, self.points.T)
+        """ambient_dim x n matrix whose columns are the points, in order.
+
+        Built once per system, so the hull (``sections.verify_ffn``) and the
+        code (``codes.build_code``) read one reduction of it.
+        """
+        if self._point_matrix is None:
+            self._point_matrix = Mat(self.field, self.points.T)
+        return self._point_matrix
 
     def validate(self) -> None:
         # each row as one fixed-size byte string; sorted, equal rows are adjacent

@@ -319,16 +319,8 @@ def _kept(spec: VarietySpec, field: GF, forms: Mat, store: dict | None):
         yield coords[mask]
 
 
-def enumerate_variety(
-    spec: VarietySpec, field: GF, budget: int = DEFAULT_POINT_BUDGET, store: dict | None = None
-) -> ProjSystem:
-    """Filter the Grassmannian point stream by the vanishing of the kind's forms.
-
-    ``store`` is handed to ``iter_grassmann_cells``: specs on the same
-    G(l, m) over ``field`` then share one generated list of batches.  The
-    budget is checked first, so a refused spec builds and stores nothing.
-    """
-    ell, m = spec.ell, spec.m
+def budget_grassmannian(ell: int, m: int, field: GF, budget: int) -> int:
+    """[m, l]_q, the candidates of G(l, m) over field; raises BudgetExceededError over the point budget."""
     what = f"G({ell},{m})(F_{field.q}) point count"
     # [m, l]_q >= q^(l(m-l)) >= 2^B: a 2^B with more digits than str() allows
     # would print as "at least 2^..." anyway, so refuse it before the exact count
@@ -341,6 +333,20 @@ def enumerate_variety(
     upstream = gaussian_binomial(m, ell, field.q)
     if upstream > budget:
         raise BudgetExceededError(what, upstream, budget)
+    return upstream
+
+
+def enumerate_variety(
+    spec: VarietySpec, field: GF, budget: int = DEFAULT_POINT_BUDGET, store: dict | None = None
+) -> ProjSystem:
+    """Filter the Grassmannian point stream by the vanishing of the kind's forms.
+
+    ``store`` is handed to ``iter_grassmann_cells``: specs on the same
+    G(l, m) over ``field`` then share one generated list of batches.  The
+    budget is checked first, so a refused spec builds and stores nothing.
+    """
+    ell, m = spec.ell, spec.m
+    upstream = budget_grassmannian(ell, m, field, budget)
     ambient = len(enumerate_index_tuples(ell, m))
     forms = _defining_forms(spec, field)
     system = ProjSystem(

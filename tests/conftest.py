@@ -107,6 +107,21 @@ def dr_reference(code, r):
     return best(0, {(0,) * n}, 0, 0)
 
 
+def dr_product_reference(code, r):
+    """d_r as the least number of columns on which some row of a basis is nonzero, over the
+    canonical rref bases of all r-dim message spaces, each multiplied by the generator.
+
+    Supports are unions of the basis rows' supports (Wei 1991), not sums of
+    class weights, so this shares no table or identity with ``codes``.
+    """
+    F, k = code.field, code.k
+    best = code.n
+    for chunk in rref_chunks(F.q, r, k, 1024):
+        words = F.matmul(rref_batch(F.q, k, *chunk), code.generator.a)
+        best = min(best, int((words != 0).any(axis=1).sum(axis=1).min()))
+    return best
+
+
 def class_words_reference(code):
     """The codeword of each normalized message, in canonical r = 1 order, scalar arithmetic only.
 

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import elambda, field, variety
-from grasscode import bounds, grassmann
+from grasscode import bounds, grassmann, linalg
 from grasscode.bounds import (
     BoundReport,
     close_family_section_bound,
@@ -255,6 +255,29 @@ def test_stored_enumerations_match_streaming(monkeypatch):
     assert len(compared) == 354
     assert visits == [(q, ell, m) for q in (2, 3) for ell, m in [(2, 4), (2, 5), (1, 4)]]
     assert alive == [(visit, []) for visit in visits]
+
+
+def test_run_suite_reduces_each_point_matrix_once(monkeypatch):
+    # verify_ffn's left kernel and build_code's rref basis read one reduction of [A | I]
+    systems, reduced = [], Counter()
+    row_reduce, point_matrix = linalg._row_reduce, ProjSystem.point_matrix
+
+    def recorded_reduce(f, m):
+        a = m[:, : m.shape[1] - m.shape[0]]
+        reduced[a.shape, a.tobytes()] += 1
+        return row_reduce(f, m)
+
+    def recorded_matrix(system):
+        if all(system is not s for s in systems):
+            systems.append(system)
+        return point_matrix(system)
+
+    monkeypatch.setattr(linalg, "_row_reduce", recorded_reduce)
+    monkeypatch.setattr(ProjSystem, "point_matrix", recorded_matrix)
+    run_suite([field(2)], [(2, 4)], ())
+    assert {s.source.kind for s in systems} == {"grassmann", "elambda"}
+    matrices = Counter((s.points.T.shape, np.ascontiguousarray(s.points.T).tobytes()) for s in systems)
+    assert {key: reduced[key] for key in matrices} == matrices
 
 
 def test_run_suite_empty_grid():

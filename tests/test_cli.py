@@ -206,8 +206,8 @@ def test_budget_exceeded_exit_on_count_past_int_str_limit(tmp_path, capsys, monk
 
 
 def test_verify_budget_exceeded_builds_no_cell(capsys, monkeypatch):
-    # q = 2 runs its claims; [4, 2]_3 = 130 is over the budget, so q = 3
-    # is refused before a cell of G(2,4) over F_3 is built or stored
+    # [4, 2]_3 = 130 is over the budget, so the grid is refused before any
+    # visit: no cell of G(2,4) is built over F_3, nor over F_2, which comes first
     rref_batch = grassmann.rref_batch
     built = []
 
@@ -221,7 +221,7 @@ def test_verify_budget_exceeded_builds_no_cell(capsys, monkeypatch):
     )
     assert code == EXIT_BUDGET and out == ""
     assert err == "budget exceeded: G(2,4)(F_3) point count needs 130 > budget 35\n"
-    assert set(built) == {2}
+    assert built == []
 
 
 def test_budget_env_override(capsys, monkeypatch):

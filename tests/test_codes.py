@@ -5,13 +5,14 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import class_words_reference, dr_reference, field, variety
+from conftest import class_words_reference, dr_product_reference, dr_reference, field, variety
 from grasscode import codes
-from grasscode.bounds import grassmann_dr_formula
+from grasscode.bounds import dr_equality_max, grassmann_dr_formula
 from grasscode.codes import (
     CHUNK,
     _check_macwilliams,
-    _class_index,
+    _class_starts,
+    _vector_add,
     build_code,
     higher_weight,
     min_distance,
@@ -66,9 +67,9 @@ def test_min_distance_examples():
 def test_weight_profile_makes_one_r1_pass(method, monkeypatch):
     # n minus the most zeros of a codeword is its least weight: both methods read the memoized pass
     passes, scans = [], []
-    span_table, scan = codes._span_table, codes._scan
+    span_table, scan = codes._span_table, codes._least_subcodes
     monkeypatch.setattr(codes, "_span_table", lambda code, b: passes.append(b) or span_table(code, b))
-    monkeypatch.setattr(codes, "_scan", lambda code, r, *rest: scans.append(r) or scan(code, r, *rest))
+    monkeypatch.setattr(codes, "_least_subcodes", lambda code, r, *rest: scans.append(r) or scan(code, r, *rest))
     profile = weight_profile(build_code(variety("grassmann:2,4", 2)), r_max=1, method=method)
     assert len(passes) == 1 and scans == [] and profile.d == profile.higher_weights[0] == 16
 
@@ -248,9 +249,14 @@ def test_subcode_scan_counts():
 
 @pytest.mark.parametrize("q,k", [(2, 1), (2, 6), (3, 4), (4, 3), (5, 2), (9, 2)])
 def test_class_index_of_r1_batches_is_arange(q, k):
-    # the r = 1 pass lays the support table out in this order; the OR kernel looks rows up by _class_index
+    # the r = 1 pass lays the class weights out in this order, and the r >= 2
+    # kernel reads class i of pivot p at starts[p] + (its digits after p, base q)
     rows = np.concatenate([rref_batch(q, k, *c)[:, 0] for c in rref_chunks(q, 1, k, 7)])
-    assert np.array_equal(_class_index(q, k, rows), np.arange((q**k - 1) // (q - 1)))
+    pivot = (rows != 0).argmax(axis=1)
+    tail = rows @ q ** np.arange(k - 1, -1, -1) - q ** (k - 1 - pivot)
+    starts = _class_starts(q, k)
+    assert starts[k] == len(rows)
+    assert np.array_equal(np.array(starts)[pivot] + tail, np.arange(len(rows)))
 
 
 def _random_code_file(tmp_path, q, k, n, seed):
@@ -277,11 +283,9 @@ def test_class_pass_matches_scalar_reference(q, k, n, chunk, tmp_path, monkeypat
     monkeypatch.setattr(codes, "CHUNK", chunk)
     code = _random_code_file(tmp_path, q, k, n, seed=q + chunk)
     classes = codes._classes(code, workers=1)
-    words = class_words_reference(code)
-    supports = [[int(x != 0) for x in word] for word in words]
-    assert classes.tally.tolist() == np.bincount([sum(s) for s in supports], minlength=n + 1).tolist()
-    bits = np.unpackbits(classes.table.view(np.uint8), axis=1, count=n, bitorder="little")
-    assert bits.tolist() == supports
+    weights = [sum(x != 0 for x in word) for word in class_words_reference(code)]
+    assert classes.weights.tolist() == weights
+    assert classes.tally.tolist() == np.bincount(weights, minlength=n + 1).tolist()
 
 
 def test_corrupted_span_table_fails_least_weight_check(monkeypatch):
@@ -301,23 +305,6 @@ def test_corrupted_span_table_fails_least_weight_check(monkeypatch):
         min_distance(code)
 
 
-def test_chosen_basis_owns_its_data(monkeypatch):
-    # a view would keep its chunk's whole (N, r, k) basis stack alive until
-    # the last chunk is done, so memory would grow with the subcode count
-    monkeypatch.setattr(codes, "CHUNK", 16)
-    chosen = []
-    least_support = codes._least_support
-
-    def record(supports, bases):
-        part = least_support(supports, bases)
-        chosen.append(part[1])
-        return part
-
-    monkeypatch.setattr(codes, "_least_support", record)
-    assert higher_weight(build_code(variety("grassmann:2,4", 2)), 2) == 24
-    assert len(chosen) > 1 and all(basis.base is None for basis in chosen)
-
-
 @pytest.mark.parametrize(
     "source,ref_r",
     [
@@ -326,30 +313,33 @@ def test_chosen_basis_owns_its_data(monkeypatch):
         (("grassmann:1,3", 2, 2), 3),  # GF(2^2)
         ((9, 3, 7), 2),  # GF(3^2), a random code file
         ((289, 3, 6), 0),  # GF(17^2), above the q x q tables; no reference at 289^3 words
+        (("lagrangian:2", 5), 0),  # k = 5 over GF(5): two digit groups in the vector sum
     ],
-    ids=["gf2", "gf3", "gf4", "gf9-file", "gf289-file"],
+    ids=["gf2", "gf3", "gf4", "gf9-file", "gf289-file", "lagrangian2-gf5"],
 )
-def test_table_path_matches_fallback_and_reference(source, ref_r, tmp_path, monkeypatch):
-    def make():
-        if isinstance(source[0], str):
-            return build_code(variety(*source))
-        return _random_code_file(tmp_path, *source, seed=5)
+def test_table_path_matches_fallback_and_reference(source, ref_r, tmp_path):
+    # the class-weight kernel against the product scan that was its fallback
+    # (now conftest.dr_product_reference) at every r < k, the closed form, and
+    # the pure-Python dr_reference, which tries every r-set of codewords and
+    # so runs only up to the r shown
+    if isinstance(source[0], str):
+        code = build_code(variety(*source))
+    else:
+        code = _random_code_file(tmp_path, *source, seed=5)
+    weights = [higher_weight(code, r) for r in range(1, code.k + 1)]
+    assert weights[-1] == int((code.generator.a != 0).any(axis=0).sum())  # r = k
+    assert weights[:-1] == [dr_product_reference(code, r) for r in range(1, code.k)]
+    assert weights[:ref_r] == [dr_reference(code, r) for r in range(1, ref_r + 1)]
+    if isinstance(source[0], str) and source[0].startswith("grassmann:"):
+        ell, m = map(int, source[0].split(":")[1].split(","))
+        top, q = dr_equality_max(ell, m), code.field.q
+        assert weights[:top] == [grassmann_dr_formula(ell, m, q, r) for r in range(1, top + 1)]
 
-    table_code, product_code = make(), make()
-    with_table = [higher_weight(table_code, r) for r in range(1, table_code.k + 1)]
-    monkeypatch.setattr(codes, "TABLE_BYTES", 0)
-    with_products = [higher_weight(product_code, r) for r in range(1, product_code.k + 1)]
-    assert table_code._class_memo.table is not None and product_code._class_memo.table is None
-    assert with_table == with_products
-    assert with_table[-1] == int((table_code.generator.a != 0).any(axis=0).sum())  # r = k
-    for r in range(1, ref_r + 1):
-        assert with_table[r - 1] == dr_reference(table_code, r)
 
-
-def test_products_only_without_table_and_none_at_r_equal_k(monkeypatch):
-    # once the r = 1 pass is done, r < k needs field products only for the
-    # support-identity check (two products); the fallback needs one per chunk,
-    # and d_k is read off the generator's nonzero columns
+def test_products_only_in_checks_and_none_at_r_equal_k(monkeypatch):
+    # once the r = 1 pass is done, r < k needs field products only to
+    # rebuild the attaining subcode (two products), and d_k is read off the
+    # generator's nonzero columns
     calls = []
     matmul = GF.matmul
     monkeypatch.setattr(GF, "matmul", lambda self, a, b: calls.append(1) or matmul(self, a, b))
@@ -359,13 +349,18 @@ def test_products_only_without_table_and_none_at_r_equal_k(monkeypatch):
         calls.clear()
         higher_weight(code, r)
         assert len(calls) == products
-    monkeypatch.setattr(codes, "TABLE_BYTES", 0)
-    code = build_code(variety("grassmann:2,4", 2))
-    calls.clear()
-    higher_weight(code, 2)
-    # over TABLE_BYTES, r >= 2 goes straight to the product scan: no r = 1 pass
-    assert code._class_memo is None
-    assert len(calls) == len(list(rref_chunks(2, 2, code.k, CHUNK))) + 2
+
+
+@pytest.mark.parametrize("q,k", [(3, 14), (5, 5), (9, 7), (4, 5), (289, 3), (1031, 3)])
+def test_vector_add_matches_field_addition(q, k):
+    # vectors of F_q^k as base-q values, first entry most significant: several
+    # digit groups at 3^14, 5^5 and 9^7, and single digits at 1031
+    F = field(*{4: (2, 2), 9: (3, 2), 289: (17, 2)}.get(q, (q,)))
+    rng = np.random.default_rng(q)
+    u, v = rng.integers(0, q, (2, 500, k))
+    powers = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    add = _vector_add(F, k)
+    assert np.array_equal(add(u @ powers, v @ powers), F.add_arr(u, v) @ powers)
 
 
 @pytest.mark.parametrize("q", [2, 3])
@@ -383,6 +378,7 @@ def test_zero_column_is_outside_the_support(q, tmp_path):
 def test_profiles_identical_for_one_and_two_workers(spec, q, monkeypatch):
     # small chunks, so both the r = 1 pass and the r >= 2 scans split many ways
     monkeypatch.setattr(codes, "CHUNK", 16)
+    monkeypatch.setattr(codes, "SUBCODES", 16)
     profiles = [
         weight_profile(build_code(variety(spec, q)), r_max=3, workers=w).to_json_dict()
         for w in (1, 2)
@@ -393,10 +389,16 @@ def test_profiles_identical_for_one_and_two_workers(spec, q, monkeypatch):
 def test_corrupted_table_row_fails_support_identity():
     code = build_code(variety("grassmann:2,4", 2))
     assert higher_weight(code, 2) == 24
-    # the class of e_6 is the second row of every basis with pivots (p, 5), so
-    # a cleared row lets those subcodes report the support of their first row
-    code._class_memo.table[-1] = 0
-    with pytest.raises(RuntimeError, match="subcode weights sum"):
+    weights = code._class_memo.weights
+    least = int(weights.argmin())
+    # lowered by q^(r-1) = 2, the class makes every subcode holding it report one
+    # less support; the first of them, rebuilt by products, has the true support
+    weights[least] -= 2
+    with pytest.raises(RuntimeError, match="least subcode support 23 in the scan, 24 as message times G"):
+        higher_weight(code, 2)
+    # lowered by 1, the class weights of those subcodes no longer sum to a multiple of 2
+    weights[least] += 1
+    with pytest.raises(RuntimeError, match="not divisible by 2"):
         higher_weight(code, 2)
 
 
