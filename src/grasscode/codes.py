@@ -67,6 +67,8 @@ CHUNK = 1024
 SUBCODES = 1 << 14
 # entries of the digit-group addition table of an odd characteristic
 ADD_TABLE = 1 << 20
+# codeword entries per block of the attaining-subcode rebuild
+WORDS = 1 << 20
 
 
 @dataclass
@@ -314,11 +316,17 @@ def _check_attaining_subcode(code: LinearCode, basis: np.ndarray, support: int) 
     that |supp D| = support, and sum_{c in D} wt(c) = (q^r - q^(r-1)) support."""
     F, r = code.field, len(basis)
     coeffs = np.concatenate([rref_batch(F.q, r, *c) for c in rref_chunks(F.q, 1, r, F.q**r)])
-    words = F.matmul(F.matmul(coeffs, basis), code.generator.a)
-    union = int(np.count_nonzero(words.any(axis=(0, 1))))
+    messages = F.matmul(coeffs, basis)
+    # the words of a block of classes at a time, so about WORDS entries are held
+    block = max(1, WORDS // code.n)
+    covered, total = np.zeros(code.n, dtype=bool), 0
+    for lo in range(0, len(messages), block):
+        words = F.matmul(messages[lo : lo + block], code.generator.a)
+        covered |= words.any(axis=(0, 1))
+        total += int(np.count_nonzero(words))
+    union = int(np.count_nonzero(covered))
     if union != support:
         raise RuntimeError(f"least subcode support {support} in the scan, {union} as message times G")
-    total = int(np.count_nonzero(words))
     if total != F.q ** (r - 1) * support:
         raise RuntimeError(
             f"subcode weights sum to {total}, support {support} needs {F.q ** (r - 1) * support}"
@@ -414,13 +422,14 @@ def _check_macwilliams(enum: dict[int, int], n: int, q: int, k: int) -> None:
     i = np.array(list(enum), dtype=object)
     a = np.array(list(enum.values()), dtype=object)
     prev, cur = np.zeros_like(i), np.ones_like(i)
-    dual = []
+    size = q**k
     for j in range(n + 1):
-        dual.append(a.dot(cur))
+        # each q^k B_j is checked as it comes, so none is kept
+        b = a.dot(cur)
+        if b < 0 or b % size or (j == 0 and b != size):
+            raise RuntimeError("MacWilliams transform of the weight enumerator is not a distribution")
         nxt = ((n - j) * (q - 1) + j - q * i) * cur - (q - 1) * (n - j + 1) * prev
         prev, cur = cur, nxt // (j + 1)
-    if dual[0] != q**k or any(b < 0 or b % q**k for b in dual):
-        raise RuntimeError("MacWilliams transform of the weight enumerator is not a distribution")
 
 
 @dataclass
@@ -468,10 +477,12 @@ def weight_profile(
 
 
 def write_code_file(code: LinearCode, path: str) -> None:
+    # one decimal word per field element, joined row by row: the bytes np.savetxt(fmt="%d") writes
+    words = np.array([str(x) for x in range(code.field.q)], dtype=object)
     with open(path, "w") as fh:
         fh.write(code.field.header() + "\n")
         fh.write(f"# code n={code.n} k={code.k} source={code.source_string()}\n")
-        np.savetxt(fh, code.generator.a, fmt="%d")
+        fh.writelines(" ".join(words[row]) + "\n" for row in code.generator.a)
 
 
 def read_code_file(path: str) -> LinearCode:

@@ -13,6 +13,14 @@ q <= 256 also keep a q x q multiplication table (and, for odd p, a q x q
 addition table), derived from those: one 2-D gather is the fastest
 product for the small fields that the scans run on.
 
+``GF.dtype`` is the narrowest dtype in which the vectorized operations
+are exact, and they keep their operands' dtype.  For e = 1 it is the
+narrowest signed integer type that holds (p - 1)^2, the largest value a
+product reaches before it is reduced: int8 for p <= 11, int16 for
+p <= 181, then int32 and int64.  For e > 1 it is ``intp``: products and
+odd-p sums are table or log/exp gathers, and numpy casts any other index
+dtype to ``intp`` on every gather, so a narrower dtype only adds casts.
+
 Instances are immutable after construction and safe to share between
 threads.
 """
@@ -99,6 +107,12 @@ class GF:
             if not _is_irreducible(list(modulus), p):
                 raise ValueError(f"modulus {modulus} is reducible over GF({p})")
         self.modulus = modulus
+        # the narrowest dtype in which the vectorized operations are exact (module docstring)
+        if e > 1:
+            self.dtype = np.dtype(np.intp)
+        else:
+            widths = (np.int8, np.int16, np.int32, np.int64)
+            self.dtype = next(np.dtype(t) for t in widths if (p - 1) ** 2 <= np.iinfo(t).max)
         self._generator = None
         self._add_tab = self._mul_tab = None
         if e > 1:
@@ -271,7 +285,8 @@ class GF:
                 else:
                     prod = af @ bf
                 return np.rint(prod).astype(np.int64) % self.p
-            return (A @ B) % self.p
+            # widened first: the sums of a narrow dtype would wrap
+            return (A.astype(np.int64) @ B.astype(np.int64)) % self.p
         k = A.shape[-1]
         out = None
         for i in range(k):

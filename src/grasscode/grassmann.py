@@ -9,10 +9,17 @@ coordinate is 1.  For a canonical basis the first nonzero coordinate sits
 at the pivot tuple and already equals 1, so the enumeration order is also
 the canonical point order.
 
-A point set is one read-only ``(N, K)`` int64 array, K = C(m, l), rows in
+A point set is one read-only ``(N, K)`` array, K = C(m, l), rows in
 canonical order.  Enumerations write each batch into a single array
 allocated at the upstream point count (``stack_rows``), never into a
 list of tuples or of chunks.
+
+Bases, minors and points are carried in ``field.dtype``, the narrowest
+dtype in which the field's vectorized operations are exact (int8 up to
+p = 11, ``intp`` for e > 1; see ``field``), so the F_2 Laplace pass moves
+one byte per entry, not eight.  The field operations keep their
+operands' dtype, so ``maximal_minors``, the Gram test and ``flag_cells``
+run unchanged on them.  ``Mat`` and the codes stay int64.
 
 The batch stream itself is kept only when the caller passes a ``store``:
 ``bounds.run_suite`` passes one per visit to a Grassmannian, so every
@@ -38,8 +45,9 @@ DEFAULT_POINT_BUDGET = 10**6
 class ProjSystem:
     """A finite set of projective points plus the linear forms known to kill them.
 
-    ``points`` is a read-only (N, ambient_dim) int64 array, one point per
-    row; any array-like of rows is accepted and converted.
+    ``points`` is a read-only (N, ambient_dim) array in ``field.dtype``,
+    one point per row; any array-like of rows is accepted, checked to be
+    field elements, then converted, so no entry can wrap.
     """
 
     field: GF
@@ -52,7 +60,9 @@ class ProjSystem:
     _point_matrix: Mat | None = dataclasses.field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=np.int64)
+        points = np.asarray(self.points)
+        self.field.check_elements(points)
+        points = points.astype(self.field.dtype, copy=False)
         if points.size == 0:
             points = points.reshape(0, self.ambient_dim)
         if points.ndim != 2 or points.shape[1] != self.ambient_dim:
@@ -82,9 +92,9 @@ class ProjSystem:
             raise ValueError("duplicate points in projective system")
 
 
-def stack_rows(parts, capacity: int, width: int) -> np.ndarray:
-    """The row blocks of ``parts`` in order, written into one array allocated at ``capacity`` rows."""
-    out = np.empty((capacity, width), dtype=np.int64)
+def stack_rows(parts, capacity: int, width: int, dtype) -> np.ndarray:
+    """The row blocks of ``parts`` in order, written into one ``dtype`` array allocated at ``capacity`` rows."""
+    out = np.empty((capacity, width), dtype=dtype)
     n = 0
     for part in parts:
         if n + len(part) > capacity:
@@ -109,7 +119,7 @@ def iter_grassmann_cells(ell: int, m: int, field: GF, chunk: int = 2048, store: 
         return
     batches = []
     for pivots, start, stop in rref_chunks(field.q, ell, m, chunk):
-        bases = rref_batch(field.q, m, pivots, start, stop)
+        bases = rref_batch(field.q, m, pivots, start, stop).astype(field.dtype, copy=False)
         coords = maximal_minors(field, bases)
         # replayed batches are shared by every consumer: none may write to them
         bases.flags.writeable = coords.flags.writeable = False

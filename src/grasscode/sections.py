@@ -352,7 +352,7 @@ def enumerate_variety(
     system = ProjSystem(
         field,
         ambient,
-        stack_rows(_kept(spec, field, forms, store), upstream, ambient),
+        stack_rows(_kept(spec, field, forms, store), upstream, ambient, field.dtype),
         forms,
         ell=ell,
         m=m,

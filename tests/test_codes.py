@@ -1,3 +1,4 @@
+import io
 import json
 import random
 from math import comb
@@ -211,6 +212,19 @@ def test_code_file_roundtrip(tmp_path):
     assert (back.n, back.k) == (code.n, code.k)
     assert back.source_string() == "lagrangian:2"
     assert min_distance(back) == min_distance(code)
+
+
+def test_code_file_is_savetxt_bytes_with_multidigit_entries(tmp_path):
+    # entries up to 288, and the body byte for byte as np.savetxt(fmt="%d") writes it
+    code = build_code(variety("grassmann:1,2", 17, 2))
+    path = tmp_path / "g12.code"
+    write_code_file(code, str(path))
+    body = io.BytesIO()
+    np.savetxt(body, code.generator.a, fmt="%d")
+    header = b"# gf p=17 e=2 modulus=3,0,1\n# code n=290 k=2 source=grassmann:1,2\n"
+    assert code.generator.a.max() >= 100
+    assert path.read_bytes() == header + body.getvalue()
+    assert read_code_file(str(path)).generator == code.generator
 
 
 def test_read_code_file_errors(tmp_path):

@@ -122,6 +122,22 @@ def test_multiplicative_group_cyclic(q):
     assert order == q - 1
 
 
+@pytest.mark.parametrize(
+    "p,e,dtype",
+    [(2, 1, np.int8), (11, 1, np.int8), (13, 1, np.int16), (181, 1, np.int16), (191, 1, np.int32),
+     (2, 2, np.intp), (3, 2, np.intp), (17, 2, np.intp)],
+)
+def test_dtype_is_the_narrowest_that_holds_a_product(p, e, dtype):
+    # e = 1: the narrowest signed type holding (p - 1)^2; e > 1: the gather index type
+    f = GF(p, e)
+    assert f.dtype == dtype
+    if e == 1:
+        x = np.arange(p, dtype=np.int64)
+        products = f.mul_arr(x[:, None].astype(f.dtype), x[None, :].astype(f.dtype))
+        assert products.dtype == f.dtype
+        assert np.array_equal(products, x[:, None] * x[None, :] % p)
+
+
 def test_header_roundtrip():
     for f in (GF(2, 1), GF(2, 2), GF(3, 2)):
         assert parse_field_header(f.header()) == f

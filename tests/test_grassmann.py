@@ -60,7 +60,7 @@ def test_counts_injectivity_nondegeneracy(m, q):
 def test_points_are_one_read_only_array():
     f3 = field(3)
     system = variety("grassmann:2,4", 3)
-    assert system.points.shape == (130, 6) and system.points.dtype == np.int64
+    assert system.points.shape == (130, 6) and system.points.dtype == f3.dtype
     with pytest.raises(ValueError):
         system.points[0, 0] = 2
     # lists of rows are converted; the caller's array stays writable
@@ -73,6 +73,16 @@ def test_points_are_one_read_only_array():
         ProjSystem(f3, 6, [(1, 0, 0)], zeros(f3, 0, 6))
     with pytest.raises(ValueError, match="duplicate"):
         ProjSystem(f3, 6, system.points[[0, 5, 0]], zeros(f3, 0, 6)).validate()
+
+
+def test_out_of_range_points_raise_instead_of_wrapping():
+    # GF(3) points are int8: 257 would wrap to 1 and -255 to 1
+    f3 = field(3)
+    assert f3.dtype == np.int8
+    for bad in (3, 257, -255, -1):
+        with pytest.raises(ValueError, match="outside"):
+            ProjSystem(f3, 2, [[1, bad]], zeros(f3, 0, 2))
+    assert ProjSystem(f3, 2, np.array([[1, 2]]), zeros(f3, 0, 2)).points.tolist() == [[1, 2]]
 
 
 def test_projective_line_example():

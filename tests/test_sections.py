@@ -448,6 +448,24 @@ def test_isotropic_mask_matches_gram_reference(p, e):
     assert seen == {True, False}
 
 
+@pytest.mark.parametrize("p,e", [(11, 1), (13, 1), (181, 1), (191, 1), (2, 2), (3, 2), (17, 2)])
+def test_batched_kernels_in_field_dtype_match_int64(p, e):
+    # minors, Gram test and flag cells on narrow bases equal the same calls on int64 copies
+    f = field(p, e)
+    rng = np.random.default_rng(p * e)
+    for ell, m in [(2, 4), (2, 6), (3, 6)]:
+        bases = rng.integers(0, f.q, size=(64, ell, m))
+        # identity columns at random positions keep every basis of rank ell
+        cols = rng.permutation(m)[:ell]
+        bases[:, :, cols] = np.eye(ell, dtype=np.int64)
+        narrow = bases.astype(f.dtype)
+        minors = maximal_minors(f, narrow)
+        assert minors.dtype == f.dtype
+        assert np.array_equal(minors, maximal_minors(f, bases))
+        assert np.array_equal(flag_cells(f, narrow), flag_cells(f, bases))
+        assert np.array_equal(_isotropic_mask(f, narrow), _isotropic_mask(f, bases))
+
+
 @pytest.mark.parametrize(
     "spec,q",
     [(text, q) for text in SPEC_CASES.values() for q in (2, 3)]
