@@ -69,6 +69,10 @@ SUBCODES = 1 << 14
 ADD_TABLE = 1 << 20
 # codeword entries per block of the attaining-subcode rebuild
 WORDS = 1 << 20
+# span-table rows per comparison of the r = 1 pass, so its boolean block stays small
+COMPARED = 256
+# class weights per block of the r = 1 tally; bincount casts each block to intp
+TALLY = 1 << 16
 
 
 @dataclass
@@ -147,7 +151,8 @@ def _span_table(code: LinearCode, b: int) -> np.ndarray:
     F = code.field
     table = np.zeros((F.q**b, code.n), dtype=np.uint8 if F.q <= 256 else np.uint16)
     size = 1
-    for row in code.generator.a[::-1][:b]:
+    # rows in field.dtype: an int64 row would make every half-table sum int64
+    for row in code.generator.a[::-1][:b].astype(F.dtype):
         for c in range(1, F.q):
             table[c * size : (c + 1) * size] = F.add_arr(table[:size], F.mul_arr(c, row))
         size *= F.q
@@ -175,13 +180,15 @@ def _classes(code: LinearCode, workers: int) -> _Classes:
         pivots, start, stop = chunk
         message = rref_batch(q, k, pivots, start, start + 1)[:, 0]
         minus_s = F.sub_arr(0, F.matmul(message, code.generator.a)[0]).astype(span.dtype)
-        packed = np.packbits(span[: stop - start] != minus_s, axis=1, bitorder="little")
-        support = np.zeros((len(packed), -(-n // 64)), dtype=np.uint64)
-        support.view(np.uint8)[:, : packed.shape[1]] = packed
+        support = np.zeros((stop - start, -(-n // 64)), dtype=np.uint64)
+        bits = support.view(np.uint8)[:, : -(-n // 8)]
+        for lo in range(0, stop - start, COMPARED):
+            hi = min(lo + COMPARED, stop - start)
+            bits[lo:hi] = np.packbits(span[lo:hi] != minus_s, axis=1, bitorder="little")
         first = starts[pivots[0]] + start
-        weights[first : first + len(packed)] = np.bitwise_count(support).sum(axis=1)
+        weights[first : first + len(support)] = np.bitwise_count(support).sum(axis=1)
 
-    _pool_map(run, list(rref_chunks(q, 1, k, q**b)), workers)
+    _pool_map(run, rref_chunks(q, 1, k, q**b), workers)
     # argmin takes the first of the least, so the class checked is the canonical first
     least = int(weights.argmin())
     p = int(np.searchsorted(starts, least, side="right")) - 1
@@ -189,7 +196,10 @@ def _classes(code: LinearCode, workers: int) -> _Classes:
     rebuilt = int(np.count_nonzero(F.matmul(message, code.generator.a)))
     if rebuilt != weights[least]:
         raise RuntimeError(f"least class weight {weights[least]} in the pass, {rebuilt} as message times G")
-    code._class_memo = _Classes(np.bincount(weights, minlength=n + 1), weights)
+    tally = np.zeros(n + 1, dtype=np.intp)
+    for lo in range(0, len(weights), TALLY):
+        tally += np.bincount(weights[lo : lo + TALLY], minlength=n + 1)
+    code._class_memo = _Classes(tally, weights)
     return code._class_memo
 
 

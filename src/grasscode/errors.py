@@ -10,7 +10,11 @@ def _count_text(n) -> str:
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration or scan would exceed its configured budget."""
+    """An enumeration or scan would exceed its configured budget.
+
+    ``needed`` is the count, or a text bounding it from below where the
+    count is too large to build.
+    """
 
     def __init__(self, what, needed, limit):
         super().__init__(f"{what} needs {_count_text(needed)} > budget {limit}")

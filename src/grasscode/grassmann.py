@@ -9,6 +9,12 @@ coordinate is 1.  For a canonical basis the first nonzero coordinate sits
 at the pivot tuple and already equals 1, so the enumeration order is also
 the canonical point order.
 
+Each generated batch is read back before it is used: every coordinate
+before the pivot tuple is 0, the pivot coordinate is 1, and each free
+entry of the basis is ± one coordinate (``_read_back``).  A point thus
+determines its basis, so the stream has no repeated point, and no sort
+over a point set is needed to show it.
+
 A point set is one read-only ``(N, K)`` array, K = C(m, l), rows in
 canonical order.  Enumerations write each batch into a single array
 allocated at the upstream point count (``stack_rows``), never into a
@@ -19,7 +25,8 @@ dtype in which the field's vectorized operations are exact (int8 up to
 p = 11, ``intp`` for e > 1; see ``field``), so the F_2 Laplace pass moves
 one byte per entry, not eight.  The field operations keep their
 operands' dtype, so ``maximal_minors``, the Gram test and ``flag_cells``
-run unchanged on them.  ``Mat`` and the codes stay int64.
+run unchanged on them.  ``Mat`` and the codes store int64, and ``Mat``
+reduces its matrices in ``field.dtype``.
 
 The batch stream itself is kept only when the caller passes a ``store``:
 ``bounds.run_suite`` passes one per visit to a Grassmannian, so every
@@ -32,11 +39,13 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .field import GF
-from .linalg import Mat, maximal_minors, rref_batch, rref_chunks
+from .indices import index_positions
+from .linalg import Mat, maximal_minors, rref_batch, rref_chunks, rref_free_positions
 
 DEFAULT_POINT_BUDGET = 10**6
 
@@ -84,13 +93,6 @@ class ProjSystem:
             self._point_matrix = Mat(self.field, self.points.T)
         return self._point_matrix
 
-    def validate(self) -> None:
-        # each row as one fixed-size byte string; sorted, equal rows are adjacent
-        packed = np.ascontiguousarray(self.points, dtype=np.uint8 if self.field.q <= 256 else np.uint16)
-        rows = np.sort(packed.view(np.dtype((np.void, packed.itemsize * self.ambient_dim))).ravel())
-        if (rows[1:] == rows[:-1]).any():
-            raise ValueError("duplicate points in projective system")
-
 
 def stack_rows(parts, capacity: int, width: int, dtype) -> np.ndarray:
     """The row blocks of ``parts`` in order, written into one ``dtype`` array allocated at ``capacity`` rows."""
@@ -106,9 +108,56 @@ def stack_rows(parts, capacity: int, width: int, dtype) -> np.ndarray:
     return out
 
 
+@lru_cache(maxsize=None)
+def _read_back_plan(pivots: tuple[int, ...], m: int) -> tuple:
+    """Where the canonical bases of pivot set P sit among their Plücker coordinates.
+
+    Returns i_P, the lex index of P, and per sign the flat positions
+    i * m + j of the free entries (i, j) of ``rref_free_positions`` next to
+    the lex indices of sorted(P - {p_i} | {j}).  That minor is the basis
+    with column p_i replaced by column j, moved past the s pivots strictly
+    between p_i and j: it equals (-1)^s times entry (i, j).
+    """
+    pos = index_positions(len(pivots), m)
+    signed = {1: ([], []), -1: ([], [])}
+    for i, j in rref_free_positions(pivots, m):
+        s = sum(pivots[i] < p < j for p in pivots)
+        beta = sorted({*pivots} - {pivots[i]} | {j})
+        flat, at = signed[(-1) ** s]
+        flat.append(i * m + j)
+        at.append(pos[tuple(c + 1 for c in beta)])
+    head = pos[tuple(p + 1 for p in pivots)]
+    return head, [(sign, np.array(flat), np.array(at)) for sign, (flat, at) in signed.items() if flat]
+
+
+def _read_back(field: GF, pivots: tuple[int, ...], bases: np.ndarray, coords: np.ndarray) -> None:
+    """Raise unless the Plücker coordinates of each basis of one pivot set give that basis back.
+
+    A canonical basis with pivots P has every coordinate before P zero,
+    coordinate P equal to 1, and each free entry equal, up to a sign, to
+    one coordinate (``_read_back_plan``).  So the point determines its
+    basis, and distinct canonical bases give distinct points: this proves
+    the point set has no repeats.  It also checks every candidate's
+    coordinates up to P and one per free entry against the basis, with
+    no arithmetic shared with ``maximal_minors``.
+    """
+    m = bases.shape[2]
+    head, signed = _read_back_plan(pivots, m)
+    flat_bases = bases.reshape(len(bases), -1)
+    ok = not coords[:, :head].any() and bool((coords[:, head] == 1).all())
+    for sign, flat, at in signed:
+        entries = flat_bases[:, flat]
+        ok = ok and np.array_equal(coords[:, at], entries if sign > 0 else field.sub_arr(0, entries))
+    if not ok:
+        cell = tuple(p + 1 for p in pivots)
+        raise RuntimeError(f"Plücker coordinates do not read back the canonical bases of cell {cell}")
+
+
 def iter_grassmann_cells(ell: int, m: int, field: GF, chunk: int = 2048, store: dict | None = None):
     """Yield (pivot tuple, bases (N,l,m), coords (N,K), memo) batches in canonical order.
 
+    Every generated batch is read back (``_read_back``) before it is
+    yielded; replayed batches were read back when they were generated.
     ``memo`` is a dict per batch in which a consumer keeps what it derives
     from that batch alone.  With a ``store``, the first
     call for (l, m) that runs to the end keeps its batches, memos
@@ -121,6 +170,7 @@ def iter_grassmann_cells(ell: int, m: int, field: GF, chunk: int = 2048, store: 
     for pivots, start, stop in rref_chunks(field.q, ell, m, chunk):
         bases = rref_batch(field.q, m, pivots, start, stop).astype(field.dtype, copy=False)
         coords = maximal_minors(field, bases)
+        _read_back(field, pivots, bases, coords)
         # replayed batches are shared by every consumer: none may write to them
         bases.flags.writeable = coords.flags.writeable = False
         batch = (tuple(p + 1 for p in pivots), bases, coords, {})

@@ -9,6 +9,9 @@ scaling ambiguity.
 Each matrix A is reduced once, as [A | I] over all of its columns.  That
 one reduction gives the rank, the rref basis of the row space and the
 rref basis of the left kernel {v : v A = 0}, and ``Mat`` caches it.
+``Mat`` stores int64 entries, but [A | I] is reduced in ``field.dtype``,
+the narrowest dtype in which the field's operations are exact (int8 for
+p <= 11; see ``field``), and the results are stored as int64 again.
 """
 
 from __future__ import annotations
@@ -95,7 +98,7 @@ class Mat:
         """
         if self._rref is None:
             rows, cols = self.shape
-            m = np.concatenate([self.a, np.eye(rows, dtype=np.int64)], axis=1)
+            m = np.concatenate([self.a, np.eye(rows, dtype=np.int64)], axis=1).astype(self.field.dtype)
             rank = sum(c < cols for c in _row_reduce(self.field, m))
             self._rref = (Mat(self.field, m[:rank, :cols]), Mat(self.field, m[rank:, cols:]))
         return self._rref

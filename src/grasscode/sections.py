@@ -21,7 +21,10 @@ every later spec on it, through the same generator and the same filter.
 
 Every kind is a linear section, so one rule decides membership: a point
 is kept iff every form of ``_defining_forms`` vanishes on its Plücker
-vector (``grassmann`` has no forms and keeps every point).  The bases
+vector.  A kind with no forms (``grassmann``, ``isotropic:1,n``,
+``lagrangian:1``) keeps every point with no product taken.  The stream
+has no repeated point, because ``grassmann`` reads each generated batch
+back from its coordinates, so a filtered set has none either.  The bases
 check that rule on every batch, in arithmetic that uses no minor: the
 symplectic kinds by the Gram test B J B^T = 0, the Schubert kinds
 (``schubert``, ``union``, ``lag-*``) by the flag condition
@@ -34,6 +37,7 @@ disagreement raises immediately.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from math import prod
 
@@ -308,28 +312,30 @@ def _kept(spec: VarietySpec, field: GF, forms: Mat, store: dict | None):
     batches of a ``store`` included.
     """
     for pivots, bases, coords, memo in iter_grassmann_cells(spec.ell, spec.m, field, store=store):
-        mask = ~field.matmul(coords, forms.a.T).any(axis=1)
+        # None keeps every candidate: with no forms the product would only cast the batch
+        mask = ~field.matmul(coords, forms.a.T).any(axis=1) if forms.rows else None
         oracle = _oracle(spec, field, bases, memo)
         if oracle is not None:
-            wrong = np.flatnonzero(mask != oracle)
+            wrong = np.flatnonzero(~oracle if mask is None else mask != oracle)
             if wrong.size:
                 raise RuntimeError(
                     f"{spec.kind} membership oracles disagree in cell {pivots}, point {wrong[0]}"
                 )
-        yield coords[mask]
+        yield coords if mask is None else coords[mask]
 
 
 def budget_grassmannian(ell: int, m: int, field: GF, budget: int) -> int:
     """[m, l]_q, the candidates of G(l, m) over field; raises BudgetExceededError over the point budget."""
     what = f"G({ell},{m})(F_{field.q}) point count"
-    # [m, l]_q >= q^(l(m-l)) >= 2^B: a 2^B with more digits than str() allows
-    # would print as "at least 2^..." anyway, so refuse it before the exact count
-    floor = 1 << ell * (m - ell) * (field.q.bit_length() - 1)
-    if floor > budget:
-        try:
-            str(floor)
-        except ValueError:
-            raise BudgetExceededError(what, floor, budget) from None
+    # [m, l]_q >= q^(l(m-l)) >= 2^B, so B >= budget.bit_length() is over the
+    # budget.  A 2^B with more digits than str() allows would print as "at
+    # least 2^B" anyway, so it is refused by B alone, before 2^B or the
+    # exact count is built: for a huge m neither could be
+    bits = ell * (m - ell) * (field.q.bit_length() - 1)
+    if bits >= budget.bit_length():
+        digits = sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+        if bits >= (10**digits).bit_length():
+            raise BudgetExceededError(what, f"at least 2^{bits}", budget)
     upstream = gaussian_binomial(m, ell, field.q)
     if upstream > budget:
         raise BudgetExceededError(what, upstream, budget)
@@ -349,7 +355,7 @@ def enumerate_variety(
     upstream = budget_grassmannian(ell, m, field, budget)
     ambient = len(enumerate_index_tuples(ell, m))
     forms = _defining_forms(spec, field)
-    system = ProjSystem(
+    return ProjSystem(
         field,
         ambient,
         stack_rows(_kept(spec, field, forms, store), upstream, ambient, field.dtype),
@@ -358,8 +364,6 @@ def enumerate_variety(
         m=m,
         source=spec,
     )
-    system.validate()
-    return system
 
 
 # -- linear hull and the forms-vs-kernel check --------------------------------

@@ -45,6 +45,13 @@ def point_set(system):
     return set(map(tuple, system.points.tolist()))
 
 
+def has_repeated_rows(points):
+    """True iff two rows of a 2-D array are equal: each row as one fixed-size byte string, sorted."""
+    packed = np.ascontiguousarray(points, dtype=np.uint16)
+    rows = np.sort(packed.view(np.dtype((np.void, packed.itemsize * packed.shape[1]))).ravel())
+    return bool((rows[1:] == rows[:-1]).any())
+
+
 # -- per-point references for the batched flag oracle (sections.flag_cells) ----
 
 

@@ -205,6 +205,24 @@ def test_budget_exceeded_exit_on_count_past_int_str_limit(tmp_path, capsys, monk
             assert err == f"budget exceeded: G({n},{2 * n})(F_2) point count needs at least 2^{bits} > budget 40\n"
 
 
+def test_budget_exceeded_exit_for_an_ambient_dimension_too_large_for_2_to_the_bound(tmp_path, capsys):
+    # 2^(l(m-l)) itself cannot be built here, so the bound is compared by its exponent
+    huge = 99999999999999999999
+    for argv, ell, m in (
+        (("count", f"grassmann:2,{huge}", "--q", "2"), 2, huge),
+        (("count", f"lagrangian:{huge}", "--q", "2"), huge, 2 * huge),
+        (("count", f"schubert:2,{huge}:1,2", "--q", "2"), 2, huge),
+        (("build", f"grassmann:2,{huge}", "--q", "2", "--out", str(tmp_path / "x.code")), 2, huge),
+        (("verify", "--q", "2", "--grassmann", f"2,{huge}"), 2, huge),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_BUDGET and out == ""
+        assert err == (
+            f"budget exceeded: G({ell},{m})(F_2) point count needs at least 2^{ell * (m - ell)} > budget 1000000\n"
+        )
+    assert not (tmp_path / "x.code").exists()
+
+
 def test_verify_budget_exceeded_builds_no_cell(capsys, monkeypatch):
     # [4, 2]_3 = 130 is over the budget, so the grid is refused before any
     # visit: no cell of G(2,4) is built over F_3, nor over F_2, which comes first

@@ -1,6 +1,7 @@
 import io
 import json
 import random
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -300,6 +301,33 @@ def test_class_pass_matches_scalar_reference(q, k, n, chunk, tmp_path, monkeypat
     weights = [sum(x != 0 for x in word) for word in class_words_reference(code)]
     assert classes.weights.tolist() == weights
     assert classes.tally.tolist() == np.bincount(weights, minlength=n + 1).tolist()
+
+
+@pytest.mark.parametrize("q,k,n", [(2, 8, 11), (3, 5, 7)])
+def test_class_pass_in_small_blocks_matches_scalar_reference(q, k, n, tmp_path, monkeypatch):
+    # a chunk compared a few rows at a time, and the tally in several blocks
+    monkeypatch.setattr(codes, "COMPARED", 3)
+    monkeypatch.setattr(codes, "TALLY", 5)
+    code = _random_code_file(tmp_path, q, k, n, seed=q)
+    classes = codes._classes(code, workers=1)
+    weights = [sum(x != 0 for x in word) for word in class_words_reference(code)]
+    assert classes.weights.tolist() == weights
+    assert classes.tally.tolist() == np.bincount(weights, minlength=n + 1).tolist()
+
+
+def test_class_pass_peaks_under_7_bytes_per_class():
+    # G(3,6) q=2 has 2^20 - 1 classes: their int32 weights take 4 bytes each,
+    # the span table and one chunk's blocks about 2 more; an intp copy of
+    # every weight for the tally would take 8
+    code = build_code(variety("grassmann:3,6", 2))
+    tracemalloc.start()
+    try:
+        classes = codes._classes(code, workers=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(classes.weights) == 2**20 - 1
+    assert peak <= 7 * len(classes.weights)
 
 
 def test_corrupted_span_table_fails_least_weight_check(monkeypatch):

@@ -1,11 +1,13 @@
 import random
+import re
 
 import numpy as np
 import pytest
 
-from conftest import field, plucker_embed, point_set, subspace_of_point, variety
+import grasscode.grassmann as grassmann
+from conftest import field, has_repeated_rows, plucker_embed, point_set, subspace_of_point, variety
 from grasscode.errors import BudgetExceededError
-from grasscode.grassmann import ProjSystem
+from grasscode.grassmann import ProjSystem, iter_grassmann_cells
 from grasscode.indices import gaussian_binomial
 from grasscode.linalg import Mat, zeros
 from grasscode.sections import enumerate_variety, parse_variety_spec
@@ -71,8 +73,8 @@ def test_points_are_one_read_only_array():
     assert ProjSystem(f3, 6, [], zeros(f3, 0, 6)).points.shape == (0, 6)
     with pytest.raises(ValueError):
         ProjSystem(f3, 6, [(1, 0, 0)], zeros(f3, 0, 6))
-    with pytest.raises(ValueError, match="duplicate"):
-        ProjSystem(f3, 6, system.points[[0, 5, 0]], zeros(f3, 0, 6)).validate()
+    assert not has_repeated_rows(system.points)
+    assert has_repeated_rows(ProjSystem(f3, 6, system.points[[0, 5, 0]], zeros(f3, 0, 6)).points)
 
 
 def test_out_of_range_points_raise_instead_of_wrapping():
@@ -117,3 +119,50 @@ def test_subspace_of_point_rejects_non_points():
 def test_budget_guard():
     with pytest.raises(BudgetExceededError):
         enumerate_variety(parse_variety_spec("grassmann:2,4"), field(2), 10)
+
+
+# G(2,3) streams cells (1,2), (1,3), (2,3), one batch each in chunks of q^2.  In
+# cell (1,2) the last basis is [[1, 0, -1], [0, 1, -1]]: p_13 = b_23 and
+# p_23 = -b_13, one pivot lying between.  In cell (1,3) p_12 = 0 comes
+# before the pivot coordinate p_13 = 1.
+CORRUPTIONS = {
+    "free": (0, 1, lambda f, x: f.add_arr(x, 1)),
+    "sign": (0, 2, lambda f, x: f.sub_arr(0, x)),
+    "pivot": (1, 1, lambda f, x: 0),
+    "prefix": (1, 0, lambda f, x: 1),
+}
+
+
+@pytest.mark.parametrize(
+    "q,where",
+    [(q, where) for q in (2, 3, 4, 289) for where in CORRUPTIONS if where != "sign" or q % 2],
+)
+def test_read_back_catches_a_corrupted_minor(monkeypatch, q, where):
+    f = field(*{2: (2,), 3: (3,), 4: (2, 2), 289: (17, 2)}[q])
+    minors = grassmann.maximal_minors
+    batch, col, corrupt = CORRUPTIONS[where]
+    calls = []
+
+    def corrupted(f, bases):
+        out = minors(f, bases)
+        if len(calls) == batch:
+            out[-1, col] = corrupt(f, out[-1, col])
+        calls.append(len(bases))
+        return out
+
+    assert len(list(iter_grassmann_cells(2, 3, f, chunk=q * q))) == 3
+    monkeypatch.setattr(grassmann, "maximal_minors", corrupted)
+    cell = ("(1, 2)", "(1, 3)")[batch]
+    with pytest.raises(RuntimeError, match=f"read back the canonical bases of cell {re.escape(cell)}"):
+        list(iter_grassmann_cells(2, 3, f, chunk=q * q))
+    assert len(calls) == batch + 1
+
+
+def test_read_back_runs_once_per_generated_batch(monkeypatch):
+    read = []
+    monkeypatch.setattr(grassmann, "_read_back", lambda f, pivots, bases, coords: read.append(len(bases)))
+    store = {}
+    for _ in range(2):
+        assert sum(len(b) for _, b, _, _ in iter_grassmann_cells(2, 4, field(3), chunk=32, store=store)) == 130
+    # the replay reads nothing back
+    assert sum(read) == 130 and len(read) == len(store[2, 4])

@@ -82,6 +82,21 @@ def test_one_reduction_serves_rank_basis_and_kernel(monkeypatch):
     assert calls == [(3, 7)]
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 11, 13, 181, 191, 289])
+def test_reduction_in_field_dtype_matches_int64(q):
+    # field.dtype is int8 up to 11, int16 up to 181, int32 from 191, intp for e > 1
+    f = field_for_order(q)
+    rng = np.random.default_rng(q)
+    for rows, cols, rank in ((4, 7, 4), (6, 5, 3), (5, 9, 2), (3, 3, 0)):
+        a = f.matmul(rng.integers(0, q, (rows, rank)), rng.integers(0, q, (rank, cols)))
+        m = np.concatenate([a, np.eye(rows, dtype=np.int64)], axis=1)
+        r = sum(c < cols for c in linalg._row_reduce(f, m))
+        mat = Mat(f, a)
+        assert mat.rref_basis().a.tolist() == m[:r, :cols].tolist()
+        assert mat.left_kernel().a.tolist() == m[r:, cols:].tolist()
+        assert mat.rref_basis().a.dtype == mat.left_kernel().a.dtype == np.int64
+
+
 def _combinations(field, mat):
     """Every coefficient vector v in F_q^rows, and v @ mat, by elementwise field arithmetic."""
     rows, cols = mat.shape

@@ -22,6 +22,7 @@ from conftest import (
     variety,
 )
 from grasscode.errors import BudgetExceededError, SpecParseError
+from grasscode.field import GF
 from grasscode.grassmann import ProjSystem
 from grasscode.indices import enumerate_index_tuples, index_positions
 from grasscode.linalg import Mat, maximal_minors, rref_batch, rref_free_positions, zeros
@@ -365,7 +366,9 @@ def test_flag_oracle_catches_corrupted_minors(monkeypatch, spec):
 def test_gram_oracle_catches_corrupted_minors(monkeypatch, spec, m, coord):
     # the first point is span{e_1, e_2}, isotropic by its Gram test; with
     # p_coord = 1 the one form through that coordinate (p_14 + p_23 for
-    # lagrangian:2, the contraction onto I(0, 6) for isotropic:2,3) does not vanish
+    # lagrangian:2, the contraction onto I(0, 6) for isotropic:2,3) does not vanish.
+    # p_coord is one that the Plücker read-back checks, so the read-back is
+    # switched off to leave the Gram oracle as the only check that can see it
     minors = grassmann.maximal_minors
     col = index_positions(2, m)[coord]
 
@@ -376,6 +379,9 @@ def test_gram_oracle_catches_corrupted_minors(monkeypatch, spec, m, coord):
 
     enumerate_variety(parse_variety_spec(spec), field(3))
     monkeypatch.setattr(grassmann, "maximal_minors", corrupted)
+    with pytest.raises(RuntimeError, match="read back"):
+        enumerate_variety(parse_variety_spec(spec), field(3))
+    monkeypatch.setattr(grassmann, "_read_back", lambda *args: None)
     with pytest.raises(RuntimeError, match="oracles disagree"):
         enumerate_variety(parse_variety_spec(spec), field(3))
 
@@ -412,6 +418,35 @@ def test_oracle_checks_replayed_batches(monkeypatch, spec, part):
     monkeypatch.setattr(grassmann, "maximal_minors", regenerated)
     with pytest.raises(RuntimeError, match="oracles disagree"):
         enumerate_variety(s, field(3), store=store)
+
+
+@pytest.mark.parametrize("spec", ["grassmann:2,4", "isotropic:1,2", "lagrangian:1"])
+def test_kinds_without_forms_take_no_product_but_keep_the_oracle(monkeypatch, spec):
+    # every point is kept with no forms product; the Gram oracle of the
+    # symplectic kinds still checks every candidate, and must keep them all
+    s = parse_variety_spec(spec)
+    products = []
+    matmul = GF.matmul
+
+    def recorded(self, A, B):
+        products.append(np.shape(B))
+        return matmul(self, A, B)
+
+    monkeypatch.setattr(GF, "matmul", recorded)
+    assert len(enumerate_variety(s, field(3))) == closed_form_count(s, 3)[0]
+    assert all(shape[-1] for shape in products)
+    if s.kind == "grassmann":
+        return
+    real = sections._isotropic_mask
+
+    def corrupted(f, bases):
+        out = real(f, bases).copy()
+        out[-1] = False
+        return out
+
+    monkeypatch.setattr(sections, "_isotropic_mask", corrupted)
+    with pytest.raises(RuntimeError, match="oracles disagree"):
+        enumerate_variety(s, field(3))
 
 
 def test_refused_spec_stores_nothing(monkeypatch):
