@@ -28,11 +28,12 @@ already normalized, and its index is the start of the pivot of u_i plus
 the base-q value of its digits after that pivot.  Row i's digits are a
 contiguous slice of the odometer value, so a per-pivot-set table gives
 the base-q value of every multiple of every row, and the sum of two
-vectors is a sum of base-q values digit by digit (``_vector_add``: XOR
-for p = 2).  No codeword is formed and no field product is taken; every
-sum of class weights must be divisible by q^(r-1).  The first subcode
-attaining ``d_r`` is rebuilt from its codewords with ``field.matmul``:
-the union of their supports must be ``d_r``, and
+vectors adds the base-p digits of their base-q values mod p, as field
+sums do (``field.digit_adder``).  No codeword is formed and no field
+product is taken; every sum of class weights must be divisible by
+q^(r-1).  The first subcode attaining ``d_r`` is rebuilt from its
+codewords with ``field.matmul``: the union of their supports must be
+``d_r``, and
 sum_{c in D} wt(c) = (q^r - q^(r-1)) |supp D| must hold.  The one
 subcode of dimension k is the code itself, so ``d_k`` is |supp C|, the
 number of nonzero generator columns, with no scan.
@@ -56,7 +57,7 @@ from math import prod
 import numpy as np
 
 from .errors import BudgetExceededError, SpecParseError
-from .field import GF, parse_field_header
+from .field import GF, digit_adder, parse_field_header
 from .grassmann import ProjSystem
 from .indices import gaussian_binomial
 from .linalg import Mat, rref_batch, rref_chunks
@@ -65,8 +66,6 @@ DEFAULT_SCAN_BUDGET = 1 << 26
 CHUNK = 1024
 # subcodes per block of an r >= 2 scan
 SUBCODES = 1 << 14
-# entries of the digit-group addition table of an odd characteristic
-ADD_TABLE = 1 << 20
 # codeword entries per block of the attaining-subcode rebuild
 WORDS = 1 << 20
 # span-table rows per comparison of the r = 1 pass, so its boolean block stays small
@@ -133,7 +132,7 @@ class _Classes:
     """The r = 1 pass: weights[i] the weight of class i in canonical order, tally[w] the classes of weight w.
 
     ``add`` is the vector sum on base-q values that the r >= 2 scans use,
-    built on their first call (``_vector_add``).
+    built on their first call (``field.digit_adder``).
     """
 
     tally: np.ndarray
@@ -151,8 +150,7 @@ def _span_table(code: LinearCode, b: int) -> np.ndarray:
     F = code.field
     table = np.zeros((F.q**b, code.n), dtype=np.uint8 if F.q <= 256 else np.uint16)
     size = 1
-    # rows in field.dtype: an int64 row would make every half-table sum int64
-    for row in code.generator.a[::-1][:b].astype(F.dtype):
+    for row in code.generator.a[::-1][:b]:
         for c in range(1, F.q):
             table[c * size : (c + 1) * size] = F.add_arr(table[:size], F.mul_arr(c, row))
         size *= F.q
@@ -178,7 +176,7 @@ def _classes(code: LinearCode, workers: int) -> _Classes:
 
     def run(chunk):
         pivots, start, stop = chunk
-        message = rref_batch(q, k, pivots, start, start + 1)[:, 0]
+        message = rref_batch(F, k, pivots, start, start + 1)[:, 0]
         minus_s = F.sub_arr(0, F.matmul(message, code.generator.a)[0]).astype(span.dtype)
         support = np.zeros((stop - start, -(-n // 64)), dtype=np.uint64)
         bits = support.view(np.uint8)[:, : -(-n // 8)]
@@ -192,7 +190,7 @@ def _classes(code: LinearCode, workers: int) -> _Classes:
     # argmin takes the first of the least, so the class checked is the canonical first
     least = int(weights.argmin())
     p = int(np.searchsorted(starts, least, side="right")) - 1
-    message = rref_batch(q, k, (p,), least - starts[p], least - starts[p] + 1)[:, 0]
+    message = rref_batch(F, k, (p,), least - starts[p], least - starts[p] + 1)[:, 0]
     rebuilt = int(np.count_nonzero(F.matmul(message, code.generator.a)))
     if rebuilt != weights[least]:
         raise RuntimeError(f"least class weight {weights[least]} in the pass, {rebuilt} as message times G")
@@ -201,51 +199,6 @@ def _classes(code: LinearCode, workers: int) -> _Classes:
         tally += np.bincount(weights[lo : lo + TALLY], minlength=n + 1)
     code._class_memo = _Classes(tally, weights)
     return code._class_memo
-
-
-def _vector_add(field: GF, k: int):
-    """add(a, b): the base-q value of the sum of the vectors of F_q^k whose base-q values are a and b.
-
-    The base-p digits of a base-q value are the coefficients of its
-    entries, so the sum adds base-p digits mod p with no carry: XOR for
-    p = 2.  For odd p, the k e digits are added h at a time through a
-    table of the p^h x p^h digit-group sums (at most ``ADD_TABLE``
-    entries), built one digit at a time; a group of one digit is added
-    mod p directly.
-    """
-    p, digits = field.p, k * field.e
-    if p == 2:
-        return np.bitwise_xor
-    h = 1
-    while h < digits and p ** (2 * h + 2) <= ADD_TABLE:
-        h += 1
-    group, groups = p**h, -(-digits // h)
-    if h == 1:
-
-        def add_group(x, y):
-            return (x + y) % p
-
-    else:
-        # the sums of h-digit groups from those of (h - 1)-digit groups and one top digit
-        digit = (np.arange(p, dtype=np.int32)[:, None] + np.arange(p, dtype=np.int32)) % p
-        table = np.zeros(1, dtype=np.int32)
-        for size in (p**i for i in range(h)):
-            table = digit[:, None, :, None] * np.int32(size) + table.reshape(size, size)[None, :, None, :]
-        table = table.ravel()
-
-        def add_group(x, y):
-            return table[x * group + y]
-
-    if groups == 1:
-        return add_group
-
-    def add(a, b):
-        out = 0
-        for w in (group**g for g in range(groups)):
-            out = out + add_group(a // w % group, b // w % group) * np.int64(w)
-        return out
-
-    return add
 
 
 def _row_tables(q: int, k: int, pivots: tuple[int, ...], products: np.ndarray) -> list:
@@ -325,7 +278,7 @@ def _check_attaining_subcode(code: LinearCode, basis: np.ndarray, support: int) 
     """Rebuild the subcode D spanned by basis as one word per class, by message times G, and check
     that |supp D| = support, and sum_{c in D} wt(c) = (q^r - q^(r-1)) support."""
     F, r = code.field, len(basis)
-    coeffs = np.concatenate([rref_batch(F.q, r, *c) for c in rref_chunks(F.q, 1, r, F.q**r)])
+    coeffs = np.concatenate([rref_batch(F, r, *c) for c in rref_chunks(F.q, 1, r, F.q**r)])
     messages = F.matmul(coeffs, basis)
     # the words of a block of classes at a time, so about WORDS entries are held
     block = max(1, WORDS // code.n)
@@ -391,7 +344,7 @@ def higher_weight(
 ) -> int:
     """Minimum support size over r-dimensional subcodes, scanned exhaustively."""
     _check(_subcode_scan(code, r), budget)
-    q, k = code.field.q, code.k
+    F, k = code.field, code.k
     if r == 1:
         return _least_weight(code, workers)
     if r == k:
@@ -399,10 +352,11 @@ def higher_weight(
     # for r < k the r = 1 pass costs [k, 1]_q <= [k, r]_q, inside the budget
     classes = _classes(code, workers)
     if classes.add is None:
-        classes.add = _vector_add(code.field, k)
+        # int32 holds every digit-group sum, and keeps the table at 4 bytes an entry
+        classes.add = digit_adder(F.p, k * F.e, np.int32)
     # ties go to the least (pivots, index), so the subcode checked is the canonical first
     d_r, pivots, index = min(_least_subcodes(code, r, classes, workers))
-    _check_attaining_subcode(code, rref_batch(q, k, pivots, index, index + 1)[0], d_r)
+    _check_attaining_subcode(code, rref_batch(F, k, pivots, index, index + 1)[0], d_r)
     return d_r
 
 
@@ -516,8 +470,8 @@ def read_code_file(path: str) -> LinearCode:
     if len(rows) != k or any(len(row) != n for row in rows):
         raise SpecParseError(f"{path}: generator shape does not match header")
     try:
-        gen = Mat(field, np.array(rows, dtype=np.int64))
-    except (ValueError, OverflowError) as exc:
+        gen = Mat(field, rows)
+    except ValueError as exc:
         raise SpecParseError(f"{path}: {exc}") from exc
     if gen.rank() != k:
         raise SpecParseError(f"{path}: generator rows are dependent")

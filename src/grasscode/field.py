@@ -7,19 +7,20 @@ scalar and numpy-vectorized operations.
 
 Prime fields compute modulo p.  Every field with e > 1 gets log/exp
 tables over a multiplicative generator (Lidl-Niederreiter, *Finite
-Fields*), so a product is the single gather ``exp[log x + log y]``;
-sums are XOR for p = 2 and digit-wise mod p for odd p.  Fields with
-q <= 256 also keep a q x q multiplication table (and, for odd p, a q x q
-addition table), derived from those: one 2-D gather is the fastest
-product for the small fields that the scans run on.
+Fields*), so a product is the single gather ``exp[log x + log y]``, and
+fields with q <= 256 also keep the q x q multiplication table: one 2-D
+gather is the fastest product for the small fields that the scans run
+on.  Sums add base-p digits mod p with no carry (``digit_adder``), and
+the scans of ``codes`` add vectors of F_q^k with the same adder.
 
-``GF.dtype`` is the narrowest dtype in which the vectorized operations
-are exact, and they keep their operands' dtype.  For e = 1 it is the
+``GF.dtype`` holds every field element the package stores: ``GF.array``
+checks that each entry is a field element and converts to it, and the
+vectorized operations keep their operands' dtype.  For e = 1 it is the
 narrowest signed integer type that holds (p - 1)^2, the largest value a
 product reaches before it is reduced: int8 for p <= 11, int16 for
 p <= 181, then int32 and int64.  For e > 1 it is ``intp``: products and
-odd-p sums are table or log/exp gathers, and numpy casts any other index
-dtype to ``intp`` on every gather, so a narrower dtype only adds casts.
+odd-p sums are table gathers, and numpy casts any other index dtype to
+``intp`` on every gather, so a narrower dtype only adds casts.
 
 Instances are immutable after construction and safe to share between
 threads.
@@ -33,6 +34,8 @@ import numpy as np
 
 Q_LIMIT = 1 << 16
 TABLE_LIMIT = 256
+# most entries of a digit-group addition table (``digit_adder``)
+ADD_TABLE = 1 << 20
 BATCH = 16  # candidates tested per vectorized step
 
 
@@ -83,6 +86,49 @@ def _smallest_irreducible(p: int, e: int) -> tuple[int, ...]:
     raise AssertionError("no irreducible polynomial found")
 
 
+def digit_adder(p: int, digits: int, dtype):
+    """add(a, b): the digit-wise sum mod p, with no carry, of integers of ``digits`` base-p digits.
+
+    XOR for p = 2.  For odd p the digits are added h at a time through a
+    table of the p^h x p^h sums of h-digit groups (at most ``ADD_TABLE``
+    entries, in ``dtype``), built one digit at a time; a group of one digit
+    is added mod p directly.  Table indices are formed in intp, so
+    operands of any integer dtype index it without wrapping.
+    """
+    if p == 2:
+        return np.bitwise_xor
+    h = 1
+    while h < digits and p ** (2 * h + 2) <= ADD_TABLE:
+        h += 1
+    group, groups = p**h, -(-digits // h)
+    if h == 1:
+
+        def add_group(x, y):
+            return (x + y) % p
+
+    else:
+        # the sums of h-digit groups from those of (h - 1)-digit groups and one top digit
+        digit = (np.arange(p, dtype=dtype)[:, None] + np.arange(p, dtype=dtype)) % p
+        table = np.zeros(1, dtype=dtype)
+        for size in (p**i for i in range(h)):
+            table = digit[:, None, :, None] * size + table.reshape(size, size)[None, :, None, :]
+        table = table.ravel()
+
+        def add_group(x, y):
+            return table[np.multiply(x, group, dtype=np.intp) + y]
+
+    if groups == 1:
+        return add_group
+
+    def add(a, b):
+        out = 0
+        for w in (group**g for g in range(groups)):
+            out = out + add_group(a // w % group, b // w % group) * np.int64(w)
+        return out
+
+    return add
+
+
 class GF:
     """The finite field GF(p^e) acting on integer-encoded elements."""
 
@@ -114,7 +160,8 @@ class GF:
             widths = (np.int8, np.int16, np.int32, np.int64)
             self.dtype = next(np.dtype(t) for t in widths if (p - 1) ** 2 <= np.iinfo(t).max)
         self._generator = None
-        self._add_tab = self._mul_tab = None
+        self._mul_tab = None
+        self._add = digit_adder(p, e, self.dtype)
         if e > 1:
             self._init_tables()
 
@@ -128,34 +175,30 @@ class GF:
         p, q = self.p, self.q
         g = self.multiplicative_generator()
         # digits of g^i in row i, filled in doubling blocks: rows n..2n-1 are
-        # rows 0..n-1 times g^n.  The products run on float32 BLAS and stay
-        # exact: every entry x is below e * (p - 1)^2 < 2^17, so x / p rounds
-        # by less than 1 / p and x - p * floor(x / p) is x mod p
-        digits = np.zeros((q - 1, self.e), dtype=np.float32)
+        # rows 0..n-1 times g^n
+        digits = np.zeros((q - 1, self.e), dtype=np.int64)
         digits[0, 0] = 1
         n, g_n = 1, self._mul_matrices(np.array([g]))[0]
         while n < q - 1:
             take = min(n, q - 1 - n)
-            x, out = digits[:take] @ g_n.astype(np.float32), digits[n : n + take]
-            np.floor(np.divide(x, p, out=out), out=out)
-            out *= -p
-            out += x
+            digits[n : n + take] = digits[:take] @ g_n % p
             g_n = g_n @ g_n % p
             n += take
-        exp = (digits @ (p ** np.arange(self.e, dtype=np.float32))).astype(np.int64)
+        powers = p ** np.arange(self.e)
+        exp = digits @ powers
         log = np.empty(q, dtype=np.int64)
         log[exp] = np.arange(q - 1)
         # log(0) + log(y) lands in the zero tail for every y, so products
         # with 0 need no mask
         log[0] = 2 * (q - 1)
         self._log = log
-        self._exp = np.zeros(4 * q - 3, dtype=np.int64)
+        self._exp = np.zeros(4 * q - 3, dtype=self.dtype)
         self._exp[: q - 1] = self._exp[q - 1 : 2 * (q - 1)] = exp
+        els = np.arange(q, dtype=self.dtype)
+        # -x negates every digit of x
+        self._neg = -(els[:, None] // powers) % p @ powers
         if q <= TABLE_LIMIT:
-            els = np.arange(q, dtype=np.int64)
             self._mul_tab = self.mul_arr(els[:, None], els[None, :])
-            if p > 2:
-                self._add_tab = self.add_arr(els[:, None], els[None, :])
 
     def _mul_matrices(self, a: np.ndarray) -> np.ndarray:
         """(len(a), e, e) stack: the matrix of multiplication by each element of a."""
@@ -193,29 +236,15 @@ class GF:
                 return int(candidates[np.argmax(primitive)])
         raise AssertionError("no multiplicative generator found")
 
-    def _digitwise(self, x, y, sign: int):
-        """x + sign * y, base-p digit by digit mod p; on ints or arrays (odd p, e > 1)."""
-        p, out, w = self.p, 0, 1
-        for _ in range(self.e):
-            out = out + (x // w + sign * (y // w)) % p * w
-            w *= p
-        return out
-
     # -- scalar field operations --------------------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self.e == 1:
-            return (a + b) % self.p
-        if self.p == 2:
-            return a ^ b
-        return self._digitwise(a, b, 1)
+        return int(self._add(a, b))
 
     def neg(self, a: int) -> int:
         if self.e == 1:
             return (-a) % self.p
-        if self.p == 2:
-            return a
-        return self._digitwise(0, a, -1)
+        return int(self._neg[a])
 
     def sub(self, a: int, b: int) -> int:
         return self.add(a, self.neg(b))
@@ -245,20 +274,14 @@ class GF:
     # -- vectorized operations on numpy encoding arrays ----------------------
 
     def add_arr(self, x, y):
-        if self.p == 2:
-            return np.bitwise_xor(x, y)
-        if self.e == 1:
-            return (x + y) % self.p
-        if self._add_tab is not None:
-            return self._add_tab[x, y]
-        return self._digitwise(np.asarray(x), np.asarray(y), 1)
+        return self._add(x, y)
 
     def sub_arr(self, x, y):
         if self.p == 2:
             return np.bitwise_xor(x, y)
         if self.e == 1:
             return (x - y) % self.p
-        return self._digitwise(np.asarray(x), np.asarray(y), -1)
+        return self._add(x, self._neg[y])
 
     def mul_arr(self, x, y):
         if self.q == 2:
@@ -270,7 +293,7 @@ class GF:
         return self._exp[self._log[x] + self._log[y]]
 
     def matmul(self, A, B):
-        """Product of encoded matrices: A (..., r, k) times B (k, c) or (..., k, c)."""
+        """Product of encoded matrices, in ``self.dtype``: A (..., r, k) times B (k, c) or (..., k, c)."""
         A = np.asarray(A)
         B = np.asarray(B)
         if self.e == 1:
@@ -284,9 +307,12 @@ class GF:
                     prod = (af.reshape(-1, k) @ bf).reshape(A.shape[:-1] + (B.shape[1],))
                 else:
                     prod = af @ bf
-                return np.rint(prod).astype(np.int64) % self.p
-            # widened first: the sums of a narrow dtype would wrap
-            return (A.astype(np.int64) @ B.astype(np.int64)) % self.p
+            else:
+                # widened first: the sums of a narrow dtype would wrap
+                prod = A.astype(np.int64) @ B.astype(np.int64)
+            # reduced in int64, written straight into field.dtype
+            out = np.empty(prod.shape, dtype=self.dtype)
+            return np.remainder(prod.astype(np.int64, copy=False), self.p, out=out, casting="unsafe")
         k = A.shape[-1]
         out = None
         for i in range(k):
@@ -296,13 +322,18 @@ class GF:
             out = term if out is None else self.add_arr(out, term)
         if out is None:
             shape = np.broadcast_shapes(A.shape[:-2], B.shape[:-2]) + (A.shape[-2], B.shape[-1])
-            out = np.zeros(shape, dtype=np.int64)
+            out = np.zeros(shape, dtype=self.dtype)
         return out
 
-    def check_elements(self, arr) -> None:
-        arr = np.asarray(arr)
+    def array(self, a, copy: bool | None = None) -> np.ndarray:
+        """``a`` as an array in ``self.dtype``, copied where ``np.array(copy=copy)`` copies.
+
+        Raises ValueError unless every entry is a field element, so the cast wraps none.
+        """
+        arr = np.asarray(a)
         if arr.size and (arr.min() < 0 or arr.max() >= self.q):
             raise ValueError(f"entries outside [0, {self.q})")
+        return np.array(arr, dtype=self.dtype, copy=copy)
 
     # -- identity / serialization --------------------------------------------
 

@@ -20,13 +20,9 @@ canonical order.  Enumerations write each batch into a single array
 allocated at the upstream point count (``stack_rows``), never into a
 list of tuples or of chunks.
 
-Bases, minors and points are carried in ``field.dtype``, the narrowest
-dtype in which the field's vectorized operations are exact (int8 up to
-p = 11, ``intp`` for e > 1; see ``field``), so the F_2 Laplace pass moves
-one byte per entry, not eight.  The field operations keep their
-operands' dtype, so ``maximal_minors``, the Gram test and ``flag_cells``
-run unchanged on them.  ``Mat`` and the codes store int64, and ``Mat``
-reduces its matrices in ``field.dtype``.
+Bases, minors and points are carried in ``field.dtype``, as every field
+element is (``field``), so the F_2 Laplace pass moves one byte per
+entry, not eight.
 
 The batch stream itself is kept only when the caller passes a ``store``:
 ``bounds.run_suite`` passes one per visit to a Grassmannian, so every
@@ -55,8 +51,7 @@ class ProjSystem:
     """A finite set of projective points plus the linear forms known to kill them.
 
     ``points`` is a read-only (N, ambient_dim) array in ``field.dtype``,
-    one point per row; any array-like of rows is accepted, checked to be
-    field elements, then converted, so no entry can wrap.
+    one point per row; any array-like of rows is accepted (``GF.array``).
     """
 
     field: GF
@@ -69,9 +64,7 @@ class ProjSystem:
     _point_matrix: Mat | None = dataclasses.field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        points = np.asarray(self.points)
-        self.field.check_elements(points)
-        points = points.astype(self.field.dtype, copy=False)
+        points = self.field.array(self.points)
         if points.size == 0:
             points = points.reshape(0, self.ambient_dim)
         if points.ndim != 2 or points.shape[1] != self.ambient_dim:
@@ -168,7 +161,7 @@ def iter_grassmann_cells(ell: int, m: int, field: GF, chunk: int = 2048, store: 
         return
     batches = []
     for pivots, start, stop in rref_chunks(field.q, ell, m, chunk):
-        bases = rref_batch(field.q, m, pivots, start, stop).astype(field.dtype, copy=False)
+        bases = rref_batch(field, m, pivots, start, stop)
         coords = maximal_minors(field, bases)
         _read_back(field, pivots, bases, coords)
         # replayed batches are shared by every consumer: none may write to them

@@ -9,9 +9,7 @@ scaling ambiguity.
 Each matrix A is reduced once, as [A | I] over all of its columns.  That
 one reduction gives the rank, the rref basis of the row space and the
 rref basis of the left kernel {v : v A = 0}, and ``Mat`` caches it.
-``Mat`` stores int64 entries, but [A | I] is reduced in ``field.dtype``,
-the narrowest dtype in which the field's operations are exact (int8 for
-p <= 11; see ``field``), and the results are stored as int64 again.
+Entries are stored and reduced in ``field.dtype`` (``GF.array``).
 """
 
 from __future__ import annotations
@@ -57,10 +55,9 @@ class Mat:
     __slots__ = ("field", "a", "_rref")
 
     def __init__(self, field: GF, a):
-        arr = np.array(a, dtype=np.int64)
+        arr = field.array(a, copy=True)
         if arr.ndim != 2:
             raise ValueError("Mat requires a 2-D array")
-        field.check_elements(arr)
         arr.flags.writeable = False
         self.field = field
         self.a = arr
@@ -98,7 +95,7 @@ class Mat:
         """
         if self._rref is None:
             rows, cols = self.shape
-            m = np.concatenate([self.a, np.eye(rows, dtype=np.int64)], axis=1).astype(self.field.dtype)
+            m = np.concatenate([self.a, np.eye(rows, dtype=self.a.dtype)], axis=1)
             rank = sum(c < cols for c in _row_reduce(self.field, m))
             self._rref = (Mat(self.field, m[:rank, :cols]), Mat(self.field, m[rank:, cols:]))
         return self._rref
@@ -120,7 +117,7 @@ class Mat:
 
 
 def zeros(field: GF, rows: int, cols: int) -> Mat:
-    return Mat(field, np.zeros((rows, cols), dtype=np.int64))
+    return Mat(field, np.zeros((rows, cols), dtype=field.dtype))
 
 
 def vstack(mats: list[Mat]) -> Mat:
@@ -214,13 +211,13 @@ def rref_chunks(q: int, r: int, k: int, chunk: int):
             yield pivots, start, min(start + chunk, total)
 
 
-def rref_batch(q: int, k: int, pivots: tuple[int, ...], start: int, stop: int) -> np.ndarray:
-    """(N, r, k) stack of the rref matrices start..stop-1 of one pivot set."""
-    out = np.zeros((stop - start, len(pivots), k), dtype=np.int64)
+def rref_batch(field: GF, k: int, pivots: tuple[int, ...], start: int, stop: int) -> np.ndarray:
+    """(N, r, k) stack in ``field.dtype`` of the rref matrices start..stop-1 of one pivot set."""
+    out = np.zeros((stop - start, len(pivots), k), dtype=field.dtype)
     for i, c in enumerate(pivots):
         out[:, i, c] = 1
     idx = np.arange(start, stop, dtype=np.int64)
     for i, j in reversed(rref_free_positions(pivots, k)):
-        out[:, i, j] = idx % q
-        idx //= q
+        out[:, i, j] = idx % field.q
+        idx //= field.q
     return out

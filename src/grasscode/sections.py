@@ -165,7 +165,7 @@ def contraction_matrix(n: int, field: GF, ell: int) -> Mat:
     m = 2 * n
     cols = enumerate_index_tuples(ell, m)
     row_pos = index_positions(ell - 2, m)
-    a = np.zeros((len(row_pos), len(cols)), dtype=np.int64)
+    a = np.zeros((len(row_pos), len(cols)), dtype=field.dtype)
     for ci, alpha in enumerate(cols):
         for r in range(1, ell + 1):
             for s in range(r + 1, ell + 1):
@@ -196,7 +196,7 @@ def pi_forms(n: int, field: GF) -> Mat:
     m = 2 * n
     rows = enumerate_index_tuples(n - 2, m) if n >= 2 else ()
     col_pos = index_positions(n, m)
-    a = np.zeros((len(rows), len(col_pos)), dtype=np.int64)
+    a = np.zeros((len(rows), len(col_pos)), dtype=field.dtype)
     for ri, ars in enumerate(rows):
         for i in range(1, n + 1):
             seq = (i,) + ars + (m - i + 1,)
@@ -250,7 +250,7 @@ def _non_downset_positions(lams, ell: int, m: int) -> list[int]:
 
 
 def _coordinate_forms(field: GF, positions, ambient: int) -> Mat:
-    a = np.zeros((len(positions), ambient), dtype=np.int64)
+    a = np.zeros((len(positions), ambient), dtype=field.dtype)
     for r, c in enumerate(sorted(positions)):
         a[r, c] = 1
     return Mat(field, a)

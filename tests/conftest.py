@@ -124,7 +124,7 @@ def dr_product_reference(code, r):
     F, k = code.field, code.k
     best = code.n
     for chunk in rref_chunks(F.q, r, k, 1024):
-        words = F.matmul(rref_batch(F.q, k, *chunk), code.generator.a)
+        words = F.matmul(rref_batch(F, k, *chunk), code.generator.a)
         best = min(best, int((words != 0).any(axis=1).sum(axis=1).min()))
     return best
 
@@ -167,10 +167,13 @@ def _encode(digits, p):
     return v
 
 
+def add_digits(p, n, a, b):
+    """The sum mod p, digit by digit, of the n base-p digits of a and of b."""
+    return _encode([(x + y) % p for x, y in zip(_digits(a, p, n), _digits(b, p, n))], p)
+
+
 def scalar_add_poly(f, a, b):
-    p = f.p
-    da, db = _digits(a, p, f.e), _digits(b, p, f.e)
-    return _encode([(x + y) % p for x, y in zip(da, db)], p)
+    return add_digits(f.p, f.e, a, b)
 
 
 def scalar_mul_poly(f, a, b):
@@ -311,7 +314,7 @@ def reference_points(spec_str, p, e=1):
     cols = [index_positions(spec.ell, spec.m)[t] for t in spec.tuples] if spec.kind == "elambda" else []
     keep = []
     for pivots, start, stop in rref_chunks(f.q, spec.ell, spec.m, 4096):
-        for basis in rref_batch(f.q, spec.m, pivots, start, stop):
+        for basis in rref_batch(f, spec.m, pivots, start, stop):
             point = points[len(keep)]
             basis = Mat(f, basis)
             keep.append(

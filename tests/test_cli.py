@@ -229,9 +229,9 @@ def test_verify_budget_exceeded_builds_no_cell(capsys, monkeypatch):
     rref_batch = grassmann.rref_batch
     built = []
 
-    def recorded(q, *args):
-        built.append(q)
-        return rref_batch(q, *args)
+    def recorded(f, *args):
+        built.append(f.q)
+        return rref_batch(f, *args)
 
     monkeypatch.setattr(grassmann, "rref_batch", recorded)
     code, out, err = run_cli(

@@ -7,14 +7,13 @@ from math import comb
 import numpy as np
 import pytest
 
-from conftest import class_words_reference, dr_product_reference, dr_reference, field, variety
+from conftest import add_digits, class_words_reference, dr_product_reference, dr_reference, field, variety
 from grasscode import codes
 from grasscode.bounds import dr_equality_max, grassmann_dr_formula
 from grasscode.codes import (
     CHUNK,
     _check_macwilliams,
     _class_starts,
-    _vector_add,
     build_code,
     higher_weight,
     min_distance,
@@ -24,11 +23,11 @@ from grasscode.codes import (
     write_code_file,
 )
 from grasscode.errors import BudgetExceededError, SpecParseError
-from grasscode.field import GF
+from grasscode.field import GF, digit_adder, field_for_order
 from grasscode.grassmann import ProjSystem
 from grasscode.indices import gaussian_binomial
-from grasscode.linalg import rref_batch, rref_chunks, zeros
-from grasscode.sections import pi_forms
+from grasscode.linalg import Mat, rref_batch, rref_chunks, zeros
+from grasscode.sections import enumerate_variety, parse_variety_spec, pi_forms
 
 
 def test_build_code_examples():
@@ -228,6 +227,23 @@ def test_code_file_is_savetxt_bytes_with_multidigit_entries(tmp_path):
     assert read_code_file(str(path)).generator == code.generator
 
 
+@pytest.mark.parametrize("q", [2, 3, 11, 13, 181, 191, 4, 9, 289])
+def test_field_elements_are_held_in_field_dtype(q, tmp_path):
+    # one dtype from the odometer to the generator: int8, int16, int32 and intp
+    F = field_for_order(q)
+    a = np.random.default_rng(q).integers(0, q, (5, 3))
+    mat = Mat(F, a)
+    assert mat.left_kernel().rows == 5 - mat.rank() > 0
+    assert mat.a.dtype == mat.rref_basis().a.dtype == mat.left_kernel().a.dtype == F.dtype
+    assert rref_batch(F, 4, (0, 2), 0, q**3).dtype == F.dtype
+    assert F.matmul(a, a.T).dtype == F.matmul(mat.a[:, :0], mat.a[:0]).dtype == F.dtype
+    system = enumerate_variety(parse_variety_spec("grassmann:1,2"), F)
+    code = build_code(system)
+    path = tmp_path / "g12.code"
+    write_code_file(code, str(path))
+    assert system.points.dtype == code.generator.a.dtype == read_code_file(str(path)).generator.a.dtype == F.dtype
+
+
 def test_read_code_file_errors(tmp_path):
     bad = tmp_path / "bad.code"
     bad.write_text("# gf p=2 e=1 modulus=0,1\n# code n=2 k=2 source=unknown\n1 1\n1 1\n")
@@ -266,7 +282,8 @@ def test_subcode_scan_counts():
 def test_class_index_of_r1_batches_is_arange(q, k):
     # the r = 1 pass lays the class weights out in this order, and the r >= 2
     # kernel reads class i of pivot p at starts[p] + (its digits after p, base q)
-    rows = np.concatenate([rref_batch(q, k, *c)[:, 0] for c in rref_chunks(q, 1, k, 7)])
+    F = field_for_order(q)
+    rows = np.concatenate([rref_batch(F, k, *c)[:, 0] for c in rref_chunks(q, 1, k, 7)])
     pivot = (rows != 0).argmax(axis=1)
     tail = rows @ q ** np.arange(k - 1, -1, -1) - q ** (k - 1 - pivot)
     starts = _class_starts(q, k)
@@ -395,14 +412,17 @@ def test_products_only_in_checks_and_none_at_r_equal_k(monkeypatch):
 
 @pytest.mark.parametrize("q,k", [(3, 14), (5, 5), (9, 7), (4, 5), (289, 3), (1031, 3)])
 def test_vector_add_matches_field_addition(q, k):
-    # vectors of F_q^k as base-q values, first entry most significant: several
-    # digit groups at 3^14, 5^5 and 9^7, and single digits at 1031
-    F = field(*{4: (2, 2), 9: (3, 2), 289: (17, 2)}.get(q, (q,)))
+    # the scans' vector sum on base-q values of F_q^k, k e base-p digits each:
+    # several digit groups at 3^14, 5^5 and 9^7, and single digits at 1031;
+    # checked against digit-by-digit polynomial addition, not against the field
+    F = field_for_order(q)
+    digits = k * F.e
     rng = np.random.default_rng(q)
-    u, v = rng.integers(0, q, (2, 500, k))
-    powers = q ** np.arange(k - 1, -1, -1, dtype=np.int64)
-    add = _vector_add(F, k)
-    assert np.array_equal(add(u @ powers, v @ powers), F.add_arr(u, v) @ powers)
+    a = [0, q**k - 1, q**k - 1] + rng.integers(0, q**k, 500).tolist()
+    b = [q**k - 1, 0, q**k - 1] + rng.integers(0, q**k, 500).tolist()
+    add = digit_adder(F.p, digits, np.int32)
+    got = add(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64))
+    assert got.tolist() == [add_digits(F.p, digits, x, y) for x, y in zip(a, b)]
 
 
 @pytest.mark.parametrize("q", [2, 3])

@@ -191,7 +191,10 @@ LARGE_FIELDS = [
     GF(2, 9),
     GF(3, 6),
     GF(2, 16),
+    # sums in two digit-group table gathers, six digits and four
     GF(3, 10),
+    # sums in two one-digit groups mod p: a two-digit table would exceed ADD_TABLE
+    GF(251, 2),
     # x^2 - 3 is irreducible over GF(17) but not the default modulus x^2 + 3
     parse_field_header("# gf p=17 e=2 modulus=14,0,1"),
 ]

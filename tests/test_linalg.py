@@ -82,9 +82,17 @@ def test_one_reduction_serves_rank_basis_and_kernel(monkeypatch):
     assert calls == [(3, 7)]
 
 
+def test_out_of_range_entries_raise_instead_of_wrapping():
+    # GF(3) entries are int8: 257 would wrap to 1, and -1 is no field element
+    for bad in ([[1, 257]], [[1, -1]], np.array([[1, 257]])):
+        with pytest.raises(ValueError, match="outside"):
+            Mat(F3, bad)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4, 9, 11, 13, 181, 191, 289])
 def test_reduction_in_field_dtype_matches_int64(q):
-    # field.dtype is int8 up to 11, int16 up to 181, int32 from 191, intp for e > 1
+    # field.dtype is int8 up to 11, int16 up to 181, int32 from 191, intp for e > 1;
+    # Mat stores its entries, rref basis and left kernel in it
     f = field_for_order(q)
     rng = np.random.default_rng(q)
     for rows, cols, rank in ((4, 7, 4), (6, 5, 3), (5, 9, 2), (3, 3, 0)):
@@ -94,7 +102,7 @@ def test_reduction_in_field_dtype_matches_int64(q):
         mat = Mat(f, a)
         assert mat.rref_basis().a.tolist() == m[:r, :cols].tolist()
         assert mat.left_kernel().a.tolist() == m[r:, cols:].tolist()
-        assert mat.rref_basis().a.dtype == mat.left_kernel().a.dtype == np.int64
+        assert mat.rref_basis().a.dtype == mat.left_kernel().a.dtype == f.dtype
 
 
 def _combinations(field, mat):
@@ -241,7 +249,7 @@ def test_vstack_and_mixed_field_errors():
 def test_rref_chunks_count_subspaces(field, r, k, total):
     # every r-dim subspace of F_q^k once, in canonical order, whatever the chunk size
     stacks = [
-        np.concatenate([rref_batch(field.q, k, *c) for c in rref_chunks(field.q, r, k, chunk)])
+        np.concatenate([rref_batch(field, k, *c) for c in rref_chunks(field.q, r, k, chunk)])
         for chunk in (7, 4096)
     ]
     assert np.array_equal(stacks[0], stacks[1])

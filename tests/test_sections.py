@@ -320,7 +320,7 @@ def test_flag_cells_match_per_point_reference(ell, m, p, e):
     f = field(p, e)
     tuples = enumerate_index_tuples(ell, m)
     for pivots in combinations(range(m), ell):
-        bases = rref_batch(f.q, m, pivots, 0, min(64, f.q ** len(rref_free_positions(pivots, m))))
+        bases = rref_batch(f, m, pivots, 0, min(64, f.q ** len(rref_free_positions(pivots, m))))
         cells = flag_cells(f, bases)
         last = [max(np.flatnonzero(row)) for row in maximal_minors(f, bases)]
         for basis, cell, pos in zip(bases, cells.tolist(), last):
