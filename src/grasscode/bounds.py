@@ -7,9 +7,11 @@ flagged instead of failing a verification run.
 
 ``run_suite`` works one field at a time and, inside a field, one
 Grassmannian at a time.  A visit to G(l, m) holds one ``store`` of its
-batches, which every spec on it filters (``sections.enumerate_variety``),
-and the G(l, m) code with its d_r, which the Grassmann and the Lagrangian
-claims share.  Each section is enumerated once, read by its claims and
+candidates, which every spec on it filters
+(``sections.enumerate_variety``), and the G(l, m) code with its d_r,
+which the Grassmann and the Lagrangian claims share.  The store keeps
+``(bases, coords, memo)`` blocks of up to 2048 candidates each, which
+may span cells.  Each section is enumerated once, read by its claims and
 dropped; the rest goes when the visit returns.
 """
 
@@ -306,7 +308,7 @@ def _grassmannian_claims(field, ell, m, pair_runs, lagrangian_ns, budget_points,
     """Every claim on G(l, m) over field: the pair claims pair_runs times, the others once per n listed.
 
     Each spec is enumerated once, filtering one ``store`` of G(l, m)
-    batches.  The ``schubert``, ``union`` and ``elambda`` sections are
+    blocks.  The ``schubert``, ``union`` and ``elambda`` sections are
     dropped once their claims are made, everything else on return: the
     store, the G(l, m) code with its d_r, ``lagrangian:n`` and the
     isotropic section.

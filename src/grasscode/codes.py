@@ -380,20 +380,19 @@ def _check_macwilliams(enum: dict[int, int], n: int, q: int, k: int) -> None:
 
     K_j(i) runs by the Krawtchouk recurrence (j+1) K_{j+1} =
     ((n-j)(q-1) + j - q i) K_j - (q-1)(n-j+1) K_{j-1}, for the weights i
-    that occur only, all at once in an object array: n + 1 steps, each a
+    that occur only, one list of Python ints per step: n + 1 steps, each a
     few operations per weight on integers of about n log2(q) bits.
     """
-    i = np.array(list(enum), dtype=object)
-    a = np.array(list(enum.values()), dtype=object)
-    prev, cur = np.zeros_like(i), np.ones_like(i)
+    weights, counts = list(enum), list(enum.values())
+    prev, cur = [0] * len(weights), [1] * len(weights)
     size = q**k
     for j in range(n + 1):
         # each q^k B_j is checked as it comes, so none is kept
-        b = a.dot(cur)
+        b = sum(a * c for a, c in zip(counts, cur))
         if b < 0 or b % size or (j == 0 and b != size):
             raise RuntimeError("MacWilliams transform of the weight enumerator is not a distribution")
-        nxt = ((n - j) * (q - 1) + j - q * i) * cur - (q - 1) * (n - j + 1) * prev
-        prev, cur = cur, nxt // (j + 1)
+        step, back = (n - j) * (q - 1) + j, (q - 1) * (n - j + 1)
+        prev, cur = cur, [((step - q * i) * c - back * p) // (j + 1) for i, c, p in zip(weights, cur, prev)]
 
 
 @dataclass

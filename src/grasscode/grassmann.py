@@ -24,11 +24,14 @@ Bases, minors and points are carried in ``field.dtype``, as every field
 element is (``field``), so the F_2 Laplace pass moves one byte per
 entry, not eight.
 
-The batch stream itself is kept only when the caller passes a ``store``:
-``bounds.run_suite`` passes one per visit to a Grassmannian, so every
-spec on that G(l, m) replays one list of batches instead of generating
-them again, and the list is dropped when the visit ends.
-``count`` and ``build`` pass none and stream, holding one batch at a time.
+The stream yields ``(bases, coords, memo)`` batches.  It is kept only
+when the caller passes a ``store``: ``bounds.run_suite`` passes one per
+visit to a Grassmannian, so every spec on that G(l, m) replays one list
+of blocks instead of generating them again, and the list is dropped when
+the visit ends.  A stored block joins consecutive generated chunks, across
+cells, up to ``chunk`` (2048) candidates, so a replay filters a few large
+blocks, not one small batch per cell.  ``count`` and ``build`` pass no
+store and stream, holding one generated chunk at a time.
 """
 
 from __future__ import annotations
@@ -146,29 +149,54 @@ def _read_back(field: GF, pivots: tuple[int, ...], bases: np.ndarray, coords: np
         raise RuntimeError(f"Plücker coordinates do not read back the canonical bases of cell {cell}")
 
 
-def iter_grassmann_cells(ell: int, m: int, field: GF, chunk: int = 2048, store: dict | None = None):
-    """Yield (pivot tuple, bases (N,l,m), coords (N,K), memo) batches in canonical order.
-
-    Every generated batch is read back (``_read_back``) before it is
-    yielded; replayed batches were read back when they were generated.
-    ``memo`` is a dict per batch in which a consumer keeps what it derives
-    from that batch alone.  With a ``store``, the first
-    call for (l, m) that runs to the end keeps its batches, memos
-    included, under that key, and later calls replay them.
-    """
-    if store is not None and (ell, m) in store:
-        yield from store[ell, m]
-        return
-    batches = []
+def _generated(ell: int, m: int, field: GF, chunk: int):
+    """(bases, coords) per chunk of one pivot set, in canonical order, each read back."""
     for pivots, start, stop in rref_chunks(field.q, ell, m, chunk):
         bases = rref_batch(field, m, pivots, start, stop)
         coords = maximal_minors(field, bases)
         _read_back(field, pivots, bases, coords)
+        yield bases, coords
+
+
+def _blocks(batches, chunk: int):
+    """Consecutive (bases, coords) batches joined into blocks of at most ``chunk`` rows."""
+    held, size = [], 0
+    for batch in batches:
+        if held and size + len(batch[0]) > chunk:
+            yield tuple(np.concatenate(part) for part in zip(*held))
+            held, size = [], 0
+        held.append(batch)
+        size += len(batch[0])
+    if held:
+        yield tuple(np.concatenate(part) for part in zip(*held))
+
+
+def iter_grassmann_cells(ell: int, m: int, field: GF, chunk: int = 2048, store: dict | None = None):
+    """Yield (bases (N,l,m), coords (N,K), memo) batches in canonical order.
+
+    Cells are generated one pivot-set chunk of at most ``chunk`` bases at
+    a time, and each chunk is read back (``_read_back``) before it is
+    used.  Without a ``store`` each chunk is yielded as it comes, so one
+    is held at a time.  With one, consecutive chunks are joined into
+    blocks of at most ``chunk`` candidates, which may span cells; the
+    first call for (l, m) that runs to the end keeps its blocks, memos
+    included, under that key, and later calls replay them with nothing
+    read back again.  ``memo`` is a dict per batch in which a consumer
+    keeps what it derives from that batch alone.
+    """
+    if store is not None and (ell, m) in store:
+        yield from store[ell, m]
+        return
+    batches = _generated(ell, m, field, chunk)
+    if store is not None:
+        batches = _blocks(batches, chunk)
+    blocks = []
+    for bases, coords in batches:
         # replayed batches are shared by every consumer: none may write to them
         bases.flags.writeable = coords.flags.writeable = False
-        batch = (tuple(p + 1 for p in pivots), bases, coords, {})
+        batch = (bases, coords, {})
         if store is not None:
-            batches.append(batch)
+            blocks.append(batch)
         yield batch
     if store is not None:
-        store[ell, m] = batches
+        store[ell, m] = blocks

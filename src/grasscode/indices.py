@@ -84,6 +84,7 @@ def schubert_cell_dimension(beta: IndexTuple) -> int:
     return sum(b - j for j, b in enumerate(beta, start=1))
 
 
+@lru_cache(maxsize=None)
 def downset(lam: IndexTuple, m: int) -> tuple[IndexTuple, ...]:
     """All beta <= lam in Bruhat order, lexicographically listed."""
     return tuple(

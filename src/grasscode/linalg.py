@@ -8,8 +8,10 @@ scaling ambiguity.
 
 Each matrix A is reduced once, as [A | I] over all of its columns.  That
 one reduction gives the rank, the rref basis of the row space and the
-rref basis of the left kernel {v : v A = 0}, and ``Mat`` caches it.
-Entries are stored and reduced in ``field.dtype`` (``GF.array``).
+rref basis of the left kernel {v : v A = 0}, and ``Mat`` caches it.  It
+jumps from one pivot column to the next, past the columns that are zero
+in the rows still free, and a pivot updates only the columns from its
+own on.  Entries are stored and reduced in ``field.dtype`` (``GF.array``).
 """
 
 from __future__ import annotations
@@ -23,29 +25,44 @@ from .field import GF
 
 
 def _row_reduce(field: GF, m: np.ndarray) -> list[int]:
-    """In-place full reduction over every column; returns the pivot columns."""
-    rows = m.shape[0]
+    """In-place full reduction; returns the pivot columns.
+
+    Rows r and below are zero left of the current column c, so a pivot
+    updates columns c and later only: nothing left of c changes.  A
+    column with no nonzero entry there is skipped together with every
+    such column after it, looked for in windows of columns that double
+    from 64.  One scan of all the columns left would cost a pass over
+    the rest of the matrix per jump, more than visiting each column
+    when the pivots are many and spread out, as in G(3,8) over F_2.
+    """
+    rows, cols = m.shape
     pivots = []
-    r = 0
-    for c in range(m.shape[1]):
-        if r == rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
+    r = c = 0
+    while r < rows and c < cols:
+        nz = np.flatnonzero(m[r:, c])
         if nz.size == 0:
-            continue
+            width = 64
+            while c < cols and not (ahead := np.flatnonzero(m[r:, c : c + width].any(axis=0))).size:
+                c += width
+                width *= 2
+            if c >= cols:
+                break
+            c += int(ahead[0])
+            nz = np.flatnonzero(m[r:, c])
         piv = r + int(nz[0])
         if piv != r:
             m[[r, piv]] = m[[piv, r]]
         pivval = int(m[r, c])
         if pivval != 1:
-            m[r] = field.mul_arr(m[r], field.inv(pivval))
+            m[r, c:] = field.mul_arr(m[r, c:], field.inv(pivval))
         col = np.array(m[:, c])
         col[r] = 0
         mask = col != 0
         if mask.any():
-            m[mask] = field.sub_arr(m[mask], field.mul_arr(col[mask, None], m[r][None, :]))
+            m[mask, c:] = field.sub_arr(m[mask, c:], field.mul_arr(col[mask, None], m[r, c:][None, :]))
         pivots.append(c)
         r += 1
+        c += 1
     return pivots
 
 

@@ -14,9 +14,10 @@ text, which ``parse_variety_spec``, ``VarietySpec.serialize`` and
 point count where the kind has one.
 
 Point sets are the (N, K) arrays of ``grassmann.ProjSystem``, filtered
-one batch of the Grassmannian stream at a time with array masks.  Given
-a ``store`` (``bounds.run_suite`` passes one per visit to a
-Grassmannian), the stream of G(l, m) is generated once and replayed for
+one ``(bases, coords, memo)`` batch of the Grassmannian stream at a time
+with array masks.  Given a ``store`` (``bounds.run_suite`` passes one per
+visit to a Grassmannian), the stream of G(l, m) is generated once, kept
+as blocks of up to 2048 candidates that may span cells, and replayed for
 every later spec on it, through the same generator and the same filter.
 
 Every kind is a linear section, so one rule decides membership: a point
@@ -309,17 +310,20 @@ def _kept(spec: VarietySpec, field: GF, forms: Mat, store: dict | None):
     """The points of each batch of the Grassmannian stream on which every form vanishes.
 
     The kind's oracle on the bases must agree on every candidate, replayed
-    batches of a ``store`` included.
+    blocks of a ``store`` included.  A block may span cells, so a
+    disagreement names the cell of the first basis it is found on, by the
+    pivot columns of that canonical basis.
     """
-    for pivots, bases, coords, memo in iter_grassmann_cells(spec.ell, spec.m, field, store=store):
+    for bases, coords, memo in iter_grassmann_cells(spec.ell, spec.m, field, store=store):
         # None keeps every candidate: with no forms the product would only cast the batch
         mask = ~field.matmul(coords, forms.a.T).any(axis=1) if forms.rows else None
         oracle = _oracle(spec, field, bases, memo)
         if oracle is not None:
             wrong = np.flatnonzero(~oracle if mask is None else mask != oracle)
             if wrong.size:
+                cell = tuple(int(np.flatnonzero(row)[0]) + 1 for row in bases[wrong[0]])
                 raise RuntimeError(
-                    f"{spec.kind} membership oracles disagree in cell {pivots}, point {wrong[0]}"
+                    f"{spec.kind} membership oracles disagree in cell {cell}, point {wrong[0]}"
                 )
         yield coords if mask is None else coords[mask]
 
@@ -348,7 +352,7 @@ def enumerate_variety(
     """Filter the Grassmannian point stream by the vanishing of the kind's forms.
 
     ``store`` is handed to ``iter_grassmann_cells``: specs on the same
-    G(l, m) over ``field`` then share one generated list of batches.  The
+    G(l, m) over ``field`` then share one generated list of blocks.  The
     budget is checked first, so a refused spec builds and stores nothing.
     """
     ell, m = spec.ell, spec.m

@@ -1,5 +1,6 @@
 import random
 import re
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from conftest import field, has_repeated_rows, plucker_embed, point_set, subspac
 from grasscode.errors import BudgetExceededError
 from grasscode.grassmann import ProjSystem, iter_grassmann_cells
 from grasscode.indices import gaussian_binomial
-from grasscode.linalg import Mat, zeros
+from grasscode.linalg import Mat, rref_chunks, rref_free_positions, zeros
 from grasscode.sections import enumerate_variety, parse_variety_spec
 
 
@@ -163,6 +164,35 @@ def test_read_back_runs_once_per_generated_batch(monkeypatch):
     monkeypatch.setattr(grassmann, "_read_back", lambda f, pivots, bases, coords: read.append(len(bases)))
     store = {}
     for _ in range(2):
-        assert sum(len(b) for _, b, _, _ in iter_grassmann_cells(2, 4, field(3), chunk=32, store=store)) == 130
-    # the replay reads nothing back
-    assert sum(read) == 130 and len(read) == len(store[2, 4])
+        assert sum(len(b) for b, _, _ in iter_grassmann_cells(2, 4, field(3), chunk=32, store=store)) == 130
+    # once per generated pivot-set chunk, and the replay reads nothing back
+    assert sum(read) == 130 and len(read) == len(list(rref_chunks(3, 2, 4, 32)))
+    # the stored blocks join those chunks, each block at most one chunk long
+    blocks = [len(bases) for bases, _, _ in store[2, 4]]
+    assert sum(blocks) == 130 and max(blocks) <= 32 and len(blocks) < len(read)
+
+
+@pytest.mark.parametrize("p,e", [(3, 1), (2, 2)])
+def test_stored_blocks_concatenate_to_the_stream(p, e):
+    f, q = field(p, e), p**e
+    streamed = list(iter_grassmann_cells(2, 4, f, chunk=32))
+    store = {}
+    generated = list(iter_grassmann_cells(2, 4, f, chunk=32, store=store))
+    replayed = list(iter_grassmann_cells(2, 4, f, chunk=32, store=store))
+    # the replay yields the stored blocks themselves, memos included
+    assert len(replayed) == len(generated) and all(g is r for g, r in zip(generated, replayed))
+    for part in (0, 1):
+        whole = np.concatenate([batch[part] for batch in streamed])
+        assert np.array_equal(np.concatenate([block[part] for block in replayed]), whole)
+        assert all(not block[part].flags.writeable for block in replayed)
+    # canonical order: pivot sets in lex order, free entries as an odometer, last entry fastest
+    canonical = []
+    for pivots in combinations(range(4), 2):
+        free = rref_free_positions(pivots, 4)
+        for digits in product(range(q), repeat=len(free)):
+            basis = [[int(j == p) for j in range(4)] for p in pivots]
+            for (i, j), digit in zip(free, digits):
+                basis[i][j] = digit
+            canonical.append(basis)
+    assert np.concatenate([block[0] for block in replayed]).tolist() == canonical
+    assert len(canonical) == gaussian_binomial(4, 2, q)

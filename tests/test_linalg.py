@@ -105,6 +105,58 @@ def test_reduction_in_field_dtype_matches_int64(q):
         assert mat.rref_basis().a.dtype == mat.left_kernel().a.dtype == f.dtype
 
 
+def _reduce_every_column(f, m):
+    """The reduction visiting every column in turn, in int64 row by row: (pivot columns, reduced copy)."""
+    m = np.array(m, dtype=np.int64)
+    rows, pivots = m.shape[0], []
+    for c in range(m.shape[1]):
+        r = len(pivots)
+        below = [i for i in range(r, rows) if m[i, c]]
+        if not below:
+            continue
+        m[[r, below[0]]] = m[[below[0], r]]
+        m[r] = f.mul_arr(m[r], f.inv(int(m[r, c])))
+        for i in range(rows):
+            if i != r and m[i, c]:
+                m[i] = f.sub_arr(m[i], f.mul_arr(int(m[i, c]), m[r]))
+        pivots.append(c)
+    return pivots, m
+
+
+def _sparse_low_rank(f, rng, rows, cols, rank):
+    """A rows x cols matrix of rank at most ``rank``, with runs of zero columns and some zero rows."""
+    left = rng.integers(0, f.q, (rows, rank))
+    left[rng.random(rows) < 0.3] = 0
+    right = rng.integers(0, f.q, (rank, cols))
+    for start in rng.integers(0, cols, 3):
+        right[:, start : start + int(rng.integers(1, cols // 2 + 2))] = 0
+    # a few nonzero columns far apart, so that the jumps between them cross several windows
+    right[:, rng.random(cols) < 0.9] = 0
+    return f.matmul(left, right)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 9, 289])
+def test_reduction_jumping_to_pivots_matches_every_column_reference(q):
+    f = field_for_order(q)
+    rng = np.random.default_rng(1000 + q)
+    sizes = ((3, 40), (6, 25), (5, 5), (8, 60), (4, 700), (9, 1500))
+    shapes = [(rows, cols, rank) for rows, cols in sizes for rank in (0, 1, 2, 4)]
+    for rows, cols, rank in shapes:
+        a = _sparse_low_rank(f, rng, rows, cols, min(rank, rows))
+        reference, reduced = _reduce_every_column(f, np.concatenate([a, np.eye(rows, dtype=np.int64)], axis=1))
+        m = np.concatenate([a, np.eye(rows, dtype=f.dtype)], axis=1)
+        assert linalg._row_reduce(f, m) == reference
+        assert m.tolist() == reduced.tolist()
+        r = sum(c < cols for c in reference)
+        mat = Mat(f, a)
+        assert mat.rank() == r <= rank
+        assert mat.rref_basis().a.tolist() == reduced[:r, :cols].tolist()
+        assert mat.left_kernel().a.tolist() == reduced[r:, cols:].tolist()
+    # the all-zero matrix: no pivot in A, and the whole identity is its left kernel
+    zero = Mat(f, np.zeros((4, 30), dtype=np.int64))
+    assert zero.rank() == 0 and zero.left_kernel().a.tolist() == np.eye(4, dtype=int).tolist()
+
+
 def _combinations(field, mat):
     """Every coefficient vector v in F_q^rows, and v @ mat, by elementwise field arithmetic."""
     rows, cols = mat.shape

@@ -420,6 +420,29 @@ def test_oracle_checks_replayed_batches(monkeypatch, spec, part):
         enumerate_variety(s, field(3), store=store)
 
 
+@pytest.mark.parametrize("spec,part", [("schubert:2,4:2,4", "flag_cells"), ("lagrangian:2", "_isotropic_mask")])
+@pytest.mark.parametrize("replay", [False, True])
+def test_oracle_disagreement_names_the_cell_inside_a_block(monkeypatch, spec, part, replay):
+    # over F_3 the 130 candidates of G(2,4) are one stored block; cell (1,2)
+    # holds candidates 0..80 and cell (1,3) holds 81..107.  Candidate 90 is
+    # span{e_1 + e_2, e_3}: in the Schubert variety of (2,4), and not isotropic
+    s = parse_variety_spec(spec)
+    store = {}
+    if replay:
+        enumerate_variety(make_spec("grassmann", s.ell, s.m), field(3), store=store)
+        assert [len(bases) for bases, _, _ in store[2, 4]] == [130]
+    real = getattr(sections, part)
+
+    def corrupted(f, bases):
+        out = real(f, bases).copy()
+        out[90] = (3, 4) if part == "flag_cells" else ~out[90]
+        return out
+
+    monkeypatch.setattr(sections, part, corrupted)
+    with pytest.raises(RuntimeError, match=r"oracles disagree in cell \(1, 3\), point 90"):
+        enumerate_variety(s, field(3), store=store)
+
+
 @pytest.mark.parametrize("spec", ["grassmann:2,4", "isotropic:1,2", "lagrangian:1"])
 def test_kinds_without_forms_take_no_product_but_keep_the_oracle(monkeypatch, spec):
     # every point is kept with no forms product; the Gram oracle of the
