@@ -4,20 +4,27 @@ The code of a system is the row space of the matrix whose columns are the
 points; the generator is canonicalized by rref.  Every scan walks
 r-dimensional subcodes as canonical rref bases in the order of
 ``linalg.rref_chunks``, in fixed blocks, so results are identical for
-any worker count.
+any worker count (the transform over F_2 runs on no pool).
 
 For r = 1 there is one normalized message per projective class of
 codewords, and one pass over them (memoized on the ``LinearCode``)
 keeps the weight of every class in canonical order, and their tally,
 hence ``d``, ``d_1`` and the weight enumerator.  The pass multiplies no
-field elements per class: the span table T of the last b generator rows
-(q^b <= ``CHUNK``) is built once by doubling, a chunk of classes sharing
-its pivot and higher digits is s + T[:size] for the word s of its first
-message, and s + T[i] is zero exactly where T[i] = -s, so one comparison
-per entry and a popcount give the chunk's weights (Bouyukliev-Bakoev
-2008 build codewords by such additions).  The first class of least
-weight is rebuilt as message times G with ``field.matmul`` and checked
-against the pass.
+field elements per class.  Over F_2 it is one in-place Walsh-Hadamard
+transform of the column counts f(x), since wt(cG) = (n - sum_x f(x)
+(-1)^(c.x)) / 2 (the codeword cG is zero on the columns in c^perp;
+Tsfasman-Vladut): k 2^k additions in one int32 array, written in
+canonical class order, with no dependence on n.  For q > 2 the span
+table T of the last b generator rows (q^b <= ``CHUNK``) is built once by
+doubling, a chunk of classes sharing its pivot and higher digits is
+s + T[:size] for the word s of its first message, and s + T[i] is zero
+exactly where T[i] = -s, so one comparison per entry and a popcount give
+the chunk's weights (Bouyukliev-Bakoev 2008 build codewords by such
+additions); the tests run it at q = 2 as the transform's reference.
+The first class of least weight is rebuilt as message times G with
+``field.matmul`` and checked against the pass, and the class weights
+must sum to q^(k-1) |supp C|, as each nonzero column is nonzero on
+q^(k-1) classes.
 
 Each position in the support of an r-dim subcode D is nonzero on exactly
 q^(r-1) of its (q^r - 1)/(q - 1) classes, so |supp D| = q^-(r-1) times
@@ -70,6 +77,8 @@ SUBCODES = 1 << 14
 WORDS = 1 << 20
 # span-table rows per comparison of the r = 1 pass, so its boolean block stays small
 COMPARED = 256
+# pair distance from which a transform level runs on whole rows, not one strided view per offset
+STRIDED = 8
 # class weights per block of the r = 1 tally; bincount casts each block to intp
 TALLY = 1 << 16
 
@@ -117,6 +126,11 @@ def _pool_map(run, chunks, workers: int) -> list:
         return list(pool.map(run, chunks))
 
 
+def _support(code: LinearCode) -> int:
+    """|supp C|, the number of nonzero generator columns."""
+    return int(np.count_nonzero(code.generator.a.any(axis=0)))
+
+
 def _class_starts(q: int, k: int) -> list[int]:
     """starts[p]: the canonical r = 1 index of the first class with its leading 1 at p; starts[k] counts all.
 
@@ -157,14 +171,13 @@ def _span_table(code: LinearCode, b: int) -> np.ndarray:
     return table
 
 
-def _classes(code: LinearCode, workers: int) -> _Classes:
-    """The r = 1 pass, run once per code; callers have budgeted (q^k - 1)/(q - 1) classes.
+def _span_weights(code: LinearCode, workers: int) -> np.ndarray:
+    """The weight of every class in canonical order, by span-table chunks: the pass for q > 2.
 
     Chunks of up to q^b classes share their pivot and the digits above the last
     b, so a chunk's words are s + T[:size], s the word of its first message.
+    It runs at any q; at q = 2 it is the tests' reference for the transform.
     """
-    if code._class_memo is not None:
-        return code._class_memo
     F, k, n = code.field, code.k, code.n
     q = F.q
     b = 0
@@ -187,13 +200,81 @@ def _classes(code: LinearCode, workers: int) -> _Classes:
         weights[first : first + len(support)] = np.bitwise_count(support).sum(axis=1)
 
     _pool_map(run, rref_chunks(q, 1, k, q**b), workers)
+    return weights
+
+
+def _butterflies(region: np.ndarray, h: int) -> None:
+    """One Walsh-Hadamard level in place: each pair (a, b) at distance h in a block of 2h becomes (a + b, a - b).
+
+    No temporary: a += b, then b = a - 2b.  Below ``STRIDED`` each offset in
+    the pair is its own strided view, as numpy runs short inner rows slowly.
+    """
+    pairs = region.reshape(-1, 2, h)
+    if h < STRIDED:
+        halves = [(pairs[:, 0, i], pairs[:, 1, i]) for i in range(h)]
+    else:
+        halves = [(pairs[:, 0], pairs[:, 1])]
+    for a, b in halves:
+        a += b
+        b *= -2
+        b += a
+
+
+def _transform_weights(code: LinearCode) -> np.ndarray:
+    """The weight of every class in canonical order over F_2, by one in-place Walsh-Hadamard transform.
+
+    f[x] counts the columns equal to x, row 0 of G the top bit, and
+    wt(cG) = (n - sum_x f[x] (-1)^(c.x)) / 2 (the projective-system view:
+    cG is zero exactly at the columns on c^perp).  Split the fold of the
+    classes left, f[lo : lo + 2^(j+1)], on its top bit into f0 and f1:
+    f0 - f1, transformed, gives the classes with their leading 1 on that
+    bit, and f0 + f1 the fold of those after it.  So with f0 - f1 written
+    in the low half, block B_j lands at its canonical start 2^k - 2^(j+1),
+    and the last entry is the zero message.  The blocks B_j with j > l fill
+    f[: 2^k - 2^(l+1)] and are aligned to their size, so transform level
+    2^l of all of them is one pass over that prefix: k 2^k additions, none
+    depending on n, in one int32 array.  Every partial sum is at most n in
+    absolute value and a butterfly forms 2b, so int32 is exact for n < 2^30.
+    """
+    k, n = code.k, code.n
+    f = np.zeros(1 << k, dtype=np.int32)
+    np.add.at(f, (1 << np.arange(k - 1, -1, -1)) @ code.generator.a, 1)
+    lo = 0
+    for j in range(k - 1, -1, -1):
+        f0, f1 = f[lo : lo + (1 << j)], f[lo + (1 << j) : lo + (2 << j)]
+        f1 += f0
+        f0 *= 2
+        f0 -= f1
+        lo += 1 << j
+    for l in range(k - 1):
+        _butterflies(f[: (1 << k) - (2 << l)], 1 << l)
+    weights = f[:-1]
+    np.subtract(n, weights, out=weights)
+    weights >>= 1
+    return weights
+
+
+def _classes(code: LinearCode, workers: int) -> _Classes:
+    """The r = 1 pass, run once per code; callers have budgeted (q^k - 1)/(q - 1) classes.
+
+    Over F_2 the weights come from one transform, otherwise from span-table chunks.
+    """
+    if code._class_memo is not None:
+        return code._class_memo
+    F, k, n = code.field, code.k, code.n
+    weights = _transform_weights(code) if F.q == 2 else _span_weights(code, workers)
     # argmin takes the first of the least, so the class checked is the canonical first
     least = int(weights.argmin())
+    starts = _class_starts(F.q, k)
     p = int(np.searchsorted(starts, least, side="right")) - 1
     message = rref_batch(F, k, (p,), least - starts[p], least - starts[p] + 1)[:, 0]
     rebuilt = int(np.count_nonzero(F.matmul(message, code.generator.a)))
     if rebuilt != weights[least]:
         raise RuntimeError(f"least class weight {weights[least]} in the pass, {rebuilt} as message times G")
+    # a nonzero column is nonzero on q^(k-1) classes, a zero column on none
+    total, support = int(weights.sum(dtype=np.int64)), _support(code)
+    if total != F.q ** (k - 1) * support:
+        raise RuntimeError(f"class weights sum to {total}, support {support} needs {F.q ** (k - 1) * support}")
     tally = np.zeros(n + 1, dtype=np.intp)
     for lo in range(0, len(weights), TALLY):
         tally += np.bincount(weights[lo : lo + TALLY], minlength=n + 1)
@@ -348,7 +429,7 @@ def higher_weight(
     if r == 1:
         return _least_weight(code, workers)
     if r == k:
-        return int(np.count_nonzero(code.generator.a.any(axis=0)))
+        return _support(code)
     # for r < k the r = 1 pass costs [k, 1]_q <= [k, r]_q, inside the budget
     classes = _classes(code, workers)
     if classes.add is None:

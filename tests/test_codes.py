@@ -65,14 +65,18 @@ def test_min_distance_examples():
 
 
 @pytest.mark.parametrize("method", ["codewords", "hyperplanes"])
-def test_weight_profile_makes_one_r1_pass(method, monkeypatch):
-    # n minus the most zeros of a codeword is its least weight: both methods read the memoized pass
+@pytest.mark.parametrize("q,kernel", [(2, "_transform_weights"), (3, "_span_weights")], ids=["q2", "q3"])
+def test_weight_profile_makes_one_r1_pass(q, kernel, method, monkeypatch):
+    # n minus the most zeros of a codeword is its least weight: both methods read the memoized pass,
+    # which is the transform over F_2 and the span-table chunks otherwise
     passes, scans = [], []
-    span_table, scan = codes._span_table, codes._least_subcodes
-    monkeypatch.setattr(codes, "_span_table", lambda code, b: passes.append(b) or span_table(code, b))
+    for name in ("_transform_weights", "_span_weights"):
+        run = getattr(codes, name)
+        monkeypatch.setattr(codes, name, lambda *args, name=name, run=run: passes.append(name) or run(*args))
+    scan = codes._least_subcodes
     monkeypatch.setattr(codes, "_least_subcodes", lambda code, r, *rest: scans.append(r) or scan(code, r, *rest))
-    profile = weight_profile(build_code(variety("grassmann:2,4", 2)), r_max=1, method=method)
-    assert len(passes) == 1 and scans == [] and profile.d == profile.higher_weights[0] == 16
+    profile = weight_profile(build_code(variety("grassmann:2,4", q)), r_max=1, method=method)
+    assert passes == [kernel] and scans == [] and profile.d == profile.higher_weights[0] == q**4
 
 
 def test_min_distance_budget():
@@ -333,9 +337,9 @@ def test_class_pass_in_small_blocks_matches_scalar_reference(q, k, n, tmp_path, 
 
 
 def test_class_pass_peaks_under_7_bytes_per_class():
-    # G(3,6) q=2 has 2^20 - 1 classes: their int32 weights take 4 bytes each,
-    # the span table and one chunk's blocks about 2 more; an intp copy of
-    # every weight for the tally would take 8
+    # G(3,6) q=2 has 2^20 - 1 classes: the transform runs in place in their
+    # int32 weights, 4 bytes each; an intp copy of every weight for the
+    # tally would take 8
     code = build_code(variety("grassmann:3,6", 2))
     tracemalloc.start()
     try:
@@ -362,6 +366,83 @@ def test_corrupted_span_table_fails_least_weight_check(monkeypatch):
     monkeypatch.setattr(codes, "_span_table", corrupt)
     with pytest.raises(RuntimeError, match="least class weight 1 in the pass"):
         min_distance(code)
+
+
+def test_corrupted_transform_fails_least_weight_check(monkeypatch):
+    code = build_code(variety("grassmann:2,4", 2))
+    butterflies = codes._butterflies
+
+    def corrupt(region, h):
+        # the last level of the block of pivot 0 leaves its transform outputs;
+        # n - 2 there makes the class of e_1 weight 1, below d = 16
+        butterflies(region, h)
+        if len(region) == 2 * h:
+            region[0] = code.n - 2
+
+    monkeypatch.setattr(codes, "_butterflies", corrupt)
+    with pytest.raises(RuntimeError, match="least class weight 1 in the pass"):
+        min_distance(code)
+
+
+def test_class_weights_sum_to_support_check(monkeypatch):
+    # one class weight one too high, above the least: only the sum over all classes sees it
+    code = build_code(variety("grassmann:2,4", 3))
+    span_weights = codes._span_weights
+
+    def corrupt(code, workers):
+        weights = span_weights(code, workers)
+        weights[weights.argmax()] += 1
+        return weights
+
+    monkeypatch.setattr(codes, "_span_weights", corrupt)
+    with pytest.raises(RuntimeError, match="class weights sum to 31591, support 130 needs 31590"):
+        min_distance(code)
+
+
+def _binary_code_file(tmp_path, k, n, seed):
+    """A code file over F_2 with a random rank-k generator whose column 0 is zero and columns 1, 2 are equal."""
+    rng = random.Random(seed)
+    path = tmp_path / f"k{k}.code"
+    while True:
+        columns = [[0] * k] + 2 * [[rng.randrange(2) for _ in range(k)]] + [
+            [rng.randrange(2) for _ in range(k)] for _ in range(n - 3)
+        ]
+        rows = [" ".join(str(col[i]) for col in columns) for i in range(k)]
+        path.write_text(f"{field(2).header()}\n# code n={n} k={k} source=unknown\n" + "\n".join(rows) + "\n")
+        try:
+            return read_code_file(str(path))
+        except SpecParseError:  # dependent rows: draw again
+            continue
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "grassmann:2,4",
+        "grassmann:2,5",
+        "grassmann:2,6",
+        "lagrangian:2",
+        "lagrangian:3",
+        "isotropic:2,3",
+        "schubert:2,5:2,5",
+        "elambda:2,4:1,2;1,3",
+        pytest.param((1, 4), id="file-k1"),
+        pytest.param((2, 5), id="file-k2"),
+        pytest.param((8, 24), id="file-k8"),
+    ],
+)
+def test_transform_matches_span_table_pass_at_q2(source, tmp_path):
+    # every class weight and the whole tally, against the kernel that runs for q > 2
+    if isinstance(source, str):
+        code = build_code(variety(source, 2))
+    else:
+        code = _binary_code_file(tmp_path, *source, seed=sum(source))
+        assert not code.generator.a[:, 0].any() and np.array_equal(code.generator.a[:, 1], code.generator.a[:, 2])
+    classes = codes._classes(code, workers=1)
+    reference = codes._span_weights(code, workers=1)
+    assert classes.weights.dtype == reference.dtype == np.int32
+    assert np.array_equal(classes.weights, reference)
+    assert classes.tally.tolist() == np.bincount(reference, minlength=code.n + 1).tolist()
 
 
 @pytest.mark.parametrize(
